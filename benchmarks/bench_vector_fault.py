@@ -1,18 +1,14 @@
 """Vector engine v2: mixed faulty/clean workload stays on the vector path.
 
-Under the original sequential-stream :class:`FaultInjector`, a fault
-schedule depends on draw order, so a struck request had to leave its
-batch and retry through the broker's backoff path — serialized, 5 ms+
-per retry, stragglers served in near-empty batches.  Counter-mode
-injection makes every draw a pure function of ``(seed, request_id,
-attempt)``; the executor exploits that to re-run only the faulted subset
-as additional *in-batch* vectorized sweeps.
+:class:`FaultInjector` makes every draw a pure function of ``(seed,
+request_id, attempt)``; the executor exploits that to re-run only the
+faulted subset as additional *in-batch* vectorized lanes, so a struck
+request never leaves its batch for the broker's backoff path.
 
-This bench serves the same 30 %-faulty fleet workload both ways on the
-vector engine and asserts the ISSUE 8 acceptance floor: >= 2x requests/s
-over the requeue baseline, with responses bit-identical between the
-vector and scalar engines under the counter schedule (clean *and*
-faulted requests alike).
+This bench serves a 30 %-faulty fleet workload on both engines and
+asserts that every retry stayed in its batch and that the vector and
+scalar engines return bit-identical responses (clean *and* faulted
+requests alike).
 
 Set ``BENCH_VECTOR2_JSON=path`` to also write the table as JSON (the CI
 artifact ``BENCH_vector2.json``).
@@ -27,7 +23,7 @@ from repro.kernels import native_status
 from repro.serve import FleetService, synthetic_load
 from repro.serve.batching import FaultInjector
 
-#: ISSUE 8 workload: ~30 % of first attempts struck, harsh retry climate.
+#: ~30 % of first attempts struck, harsh retry climate.
 RATE = 0.30
 RETRY_RATE = 0.25
 BURST = 2
@@ -36,12 +32,8 @@ N_TANKS = 8
 MAX_BATCH = 8
 SEED = 0
 
-#: ISSUE 8 acceptance: counter-mode in-batch sweeps vs sequential-mode
-#: requeue-and-backoff, same workload, same engine.
-SPEEDUP_FLOOR = 2.0
 
-
-def serve(engine: str, mode: str) -> dict:
+def serve(engine: str) -> dict:
     service = FleetService(
         workers=1,
         max_batch=MAX_BATCH,
@@ -50,14 +42,12 @@ def serve(engine: str, mode: str) -> dict:
         seed=SEED,
         engine=engine,
         fault_injector=FaultInjector(
-            RATE, seed=SEED, burst=BURST, retry_rate=RETRY_RATE, mode=mode
+            RATE, seed=SEED, burst=BURST, retry_rate=RETRY_RATE
         ),
     ).start()
     # Closed-loop waves: one full batch in flight at a time, like a
     # telemetry poller that waits for each fleet sweep before issuing
-    # the next.  Under requeue-and-backoff every faulted request stalls
-    # its wave (serialized retry rounds, near-empty straggler batches);
-    # in-batch sweeps finish the wave in one pass.
+    # the next.  In-batch retries finish each wave in one pass.
     load = synthetic_load(N_REQUESTS, n_tanks=N_TANKS)
     done = 0
     for start in range(0, N_REQUESTS, MAX_BATCH):
@@ -77,34 +67,25 @@ def serve(engine: str, mode: str) -> dict:
 
 
 def run_all() -> dict:
-    serve("vector", "counter")  # warm kernel caches before timing
-    return {
-        "sequential": serve("vector", "sequential"),
-        "counter": serve("vector", "counter"),
-        "counter_scalar": serve("scalar", "counter"),
-    }
+    serve("vector")  # warm kernel caches before timing
+    return {"vector": serve("vector"), "scalar": serve("scalar")}
 
 
 def test_vector_fault_path(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     header = (
-        f"{'schedule':<18}{'engine':<9}{'req/s':>9}{'p95 ms':>9}"
+        f"{'engine':<9}{'req/s':>9}{'p95 ms':>9}"
         f"{'faults':>8}{'in-batch':>10}{'requeued':>10}"
     )
     lines = [header, "-" * len(header), f"native kernels: {native_status()}"]
     rows = {}
-    for label, engine in (
-        ("sequential", "vector"),
-        ("counter", "vector"),
-        ("counter_scalar", "scalar"),
-    ):
-        snap = results[label]
+    for engine in ("vector", "scalar"):
+        snap = results[engine]
         counters = snap["counters"]
         in_batch = counters.get("retries_in_batch", 0)
         retried = counters.get("requests_retried", 0)
-        rows[label] = {
-            "engine": engine,
+        rows[engine] = {
             "requests_per_s": round(snap["service"]["requests_per_s"], 1),
             "p95_latency_ms": round(
                 snap["histograms"]["latency_s"]["p95"] * 1e3, 2
@@ -113,36 +94,29 @@ def test_vector_fault_path(benchmark):
             "retries_in_batch": in_batch,
             "retries_requeued": retried - in_batch,
         }
-        r = rows[label]
+        r = rows[engine]
         lines.append(
-            f"{label:<18}{engine:<9}{r['requests_per_s']:>9.1f}"
+            f"{engine:<9}{r['requests_per_s']:>9.1f}"
             f"{r['p95_latency_ms']:>9.2f}{r['faults_injected']:>8}"
             f"{r['retries_in_batch']:>10}{r['retries_requeued']:>10}"
         )
-    show("Fault path: in-batch sweeps vs requeue-and-backoff", "\n".join(lines))
+    show("Fault path: in-batch retry lanes", "\n".join(lines))
 
-    # The counter schedule kept every retry inside its batch; the
-    # sequential baseline pushed every retry through the broker.
-    assert rows["counter"]["retries_in_batch"] > 0
-    assert rows["counter"]["retries_requeued"] == 0
-    assert rows["sequential"]["retries_in_batch"] == 0
-    assert rows["sequential"]["retries_requeued"] > 0
+    # Every retry stayed inside its batch on both engines.
+    for row in rows.values():
+        assert row["retries_in_batch"] > 0
+        assert row["retries_requeued"] == 0
 
-    # Exactness: the vector and scalar engines serve the identical
-    # counter-mode schedule with bit-identical terminal responses —
-    # status, attempt count and measurement values, faulted or clean.
-    assert results["counter"]["_responses"] == results["counter_scalar"]["_responses"]
+    # Exactness: the vector and scalar engines serve the identical fault
+    # schedule with bit-identical terminal responses — status, attempt
+    # count and measurement values, faulted or clean.
+    assert results["vector"]["_responses"] == results["scalar"]["_responses"]
     faulted = sum(
         1
-        for status, attempts, _lv, _c in results["counter"]["_responses"].values()
+        for status, attempts, _lv, _c in results["vector"]["_responses"].values()
         if status == "ok" and attempts > 1
     )
     assert faulted > 0, "workload never exercised the fault path"
-
-    speedup = rows["counter"]["requests_per_s"] / max(
-        1e-9, rows["sequential"]["requests_per_s"]
-    )
-    assert speedup >= SPEEDUP_FLOOR, (speedup, rows)
 
     report = {
         "workload": {
@@ -154,16 +128,13 @@ def test_vector_fault_path(benchmark):
             "burst": BURST,
         },
         "native_kernel": native_status(),
-        "modes": rows,
-        "speedup": round(speedup, 2),
-        "speedup_floor": SPEEDUP_FLOOR,
+        "engines": rows,
         "faulted_ok": faulted,
     }
     benchmark.extra_info.update(
         {
-            "speedup": round(speedup, 2),
-            "counter_rps": rows["counter"]["requests_per_s"],
-            "sequential_rps": rows["sequential"]["requests_per_s"],
+            "vector_rps": rows["vector"]["requests_per_s"],
+            "scalar_rps": rows["scalar"]["requests_per_s"],
         }
     )
     out = os.environ.get("BENCH_VECTOR2_JSON")

@@ -173,9 +173,7 @@ def _run_serve_mode(args: argparse.Namespace, batched: bool, tracer=None) -> dic
         batched=batched,
         fault_rate=args.fault_rate,
         seed=args.seed,
-        # The vector engine batches per stage; the per-request baseline
-        # mode therefore always runs the scalar engine.
-        engine=args.engine if batched else "scalar",
+        engine=args.engine,
         tracer=tracer,
         policy=args.policy if batched else "fifo",
         window_s=args.window if batched else 0.0,
@@ -746,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["scalar", "vector"],
         default="scalar",
-        help="execution engine for the batched mode (vector = fused numpy kernels)",
+        help="execution engine for every mode (vector = fused numpy kernels)",
     )
     p.add_argument(
         "--shards",

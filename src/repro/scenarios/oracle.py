@@ -485,8 +485,9 @@ def run_scenario_oracle(
 def shrink_scenario(scenario, fails: Callable[[object], bool], max_steps: int = 200):
     """Greedy shrink over the scenario's own ``shrink_candidates()``:
     adopt the first simpler variant that still fails until none does or
-    the step budget is spent.  A candidate that cannot even be *checked*
-    (e.g. a slice that violates a family invariant) is skipped.
+    the step budget is spent.  An exception raised by ``fails`` on a
+    candidate propagates: a crash while shrinking is a finding, not a
+    pass.
 
     Raises
     ------
@@ -502,11 +503,7 @@ def shrink_scenario(scenario, fails: Callable[[object], bool], max_steps: int = 
         progress = False
         for candidate in current.shrink_candidates():
             steps += 1
-            try:
-                failing = fails(candidate)
-            except Exception:
-                failing = False
-            if failing:
+            if fails(candidate):
                 current = candidate
                 progress = True
                 break

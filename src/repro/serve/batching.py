@@ -23,7 +23,7 @@ import random
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.app.frontend import AnalogFrontEnd
@@ -326,10 +326,6 @@ class TankStateStore:
             return len(self._sessions)
 
 
-#: Draw modes a :class:`FaultInjector` supports.
-FAULT_MODES: Tuple[str, ...] = ("sequential", "counter")
-
-
 class FaultInjector:
     """Deterministic schedule of transient configuration upsets.
 
@@ -340,31 +336,20 @@ class FaultInjector:
     fault event flips ``burst`` configuration bits — the two axes the
     verifylab campaigns sweep as fault intensity.
 
-    ``mode`` selects how the draws are produced:
-
-    * ``"sequential"`` (default) — one shared ``random.Random`` stream
-      consumed in call order.  Byte-compatible with every existing
-      campaign seed and golden trace, but it couples the schedule to
-      batch composition and execution order, so a faulted request must
-      leave its batch and retry through the broker's backoff path.
-    * ``"counter"`` — every draw is a pure function of ``(seed,
-      request_id, attempt)`` via :class:`repro.serve.faultrng.CounterRng`:
-      order- and composition-independent, identical between the scalar
-      and vector engines, and *predictable* (see :meth:`predict_stage`),
-      which lets the executor retry faulted requests with in-batch
-      vectorized sweeps and lets the verifylab oracle replay mixed
-      faulty/clean batches exactly.  ``max_faults`` is rejected in this
-      mode — a global cap is inherently a function of draw order.
+    Every draw is a pure function of ``(seed, request_id, attempt)`` via
+    :class:`repro.serve.faultrng.CounterRng`: order- and
+    composition-independent, identical between the scalar and vector
+    engines, and *predictable* (see :meth:`predict_stage`), which lets the
+    executor retry faulted requests inside their batch and lets the
+    verifylab oracle replay mixed faulty/clean batches exactly.
     """
 
     def __init__(
         self,
         rate: float = 0.0,
         seed: int = 0,
-        max_faults: Optional[int] = None,
         burst: int = 1,
         retry_rate: float = 0.0,
-        mode: str = "sequential",
     ):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
@@ -372,47 +357,26 @@ class FaultInjector:
             raise ValueError(f"retry fault rate must be in [0, 1], got {retry_rate}")
         if burst < 1:
             raise ValueError(f"burst size must be >= 1, got {burst}")
-        if mode not in FAULT_MODES:
-            raise ValueError(f"mode must be one of {FAULT_MODES}, got {mode!r}")
-        if mode == "counter" and max_faults is not None:
-            raise ValueError(
-                "max_faults is order-dependent by construction and cannot be "
-                "enforced in counter mode"
-            )
         self.rate = rate
         self.retry_rate = retry_rate
         self.burst = burst
-        self.max_faults = max_faults
-        self.mode = mode
         self.seed = seed
-        self._rng = random.Random(seed)
-        self._counter = CounterRng(seed) if mode == "counter" else None
+        self._counter = CounterRng(seed)
         self._lock = threading.Lock()
         self.fired = 0
-
-    @property
-    def order_independent(self) -> bool:
-        """True when draws do not depend on call order (counter mode) —
-        the property the executor's in-batch retry sweeps require."""
-        return self._counter is not None
 
     def predict_stage(
         self, request_id: int, attempt: int, n_stages: int
     ) -> Optional[int]:
-        """Counter-mode schedule lookup: the pipeline index at which the
-        given attempt faults, or None.  Pure — consumes no state — so a
-        reference executor can replay the schedule exactly.
+        """Schedule lookup: the pipeline index at which the given attempt
+        faults, or None.  Pure — consumes no state — so a reference
+        executor can replay the schedule exactly.
 
         Raises
         ------
-        RuntimeError
-            In sequential mode, where the schedule cannot be predicted
-            without consuming the shared stream.
         ValueError
             On a non-positive stage count.
         """
-        if self._counter is None:
-            raise RuntimeError("predict_stage requires mode='counter'")
         if n_stages < 1:
             raise ValueError(f"need at least one stage, got {n_stages}")
         rate = self.rate if attempt <= 1 else self.retry_rate
@@ -423,38 +387,21 @@ class FaultInjector:
         return self._counter.randbelow(n_stages, "stage", request_id, attempt)
 
     def fault_stage(self, request: MeasurementRequest) -> Optional[int]:
-        """Pipeline index at which this attempt faults, or None."""
-        if self._counter is not None:
-            stage = self.predict_stage(
-                request.request_id, request.attempts, len(request.pipeline)
-            )
-            if stage is not None:
-                with self._lock:
-                    self.fired += 1
-            return stage
-        with self._lock:
-            rate = self.rate if request.attempts <= 1 else self.retry_rate
-            if rate == 0.0:
-                return None
-            if self.max_faults is not None and self.fired >= self.max_faults:
-                return None
-            if self._rng.random() >= rate:
-                return None
-            self.fired += 1
-            return self._rng.randrange(len(request.pipeline))
+        """Pipeline index at which this attempt faults, or None; counts
+        the fault in ``fired``."""
+        stage = self.predict_stage(
+            request.request_id, request.attempts, len(request.pipeline)
+        )
+        if stage is not None:
+            with self._lock:
+                self.fired += 1
+        return stage
 
     def scrub_rng(self, request: MeasurementRequest) -> random.Random:
-        """Generator for one scrub event's burst bit positions.  In
-        counter mode each fault event gets its own stream keyed on
-        (request, attempt) — identical draws wherever the event lands in
-        the batch; sequential mode keeps the shared stream."""
-        if self._counter is not None:
-            return self._counter.stream("burst", request.request_id, request.attempts)
-        return self._rng
-
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
+        """Generator for one scrub event's burst bit positions: each fault
+        event gets its own stream keyed on (request, attempt), so the
+        draws are identical wherever the event lands in the batch."""
+        return self._counter.stream("burst", request.request_id, request.attempts)
 
 
 @dataclass
@@ -463,8 +410,6 @@ class BatchOutcome:
 
     batch: Batch
     responses: List[MeasurementResponse]
-    #: Requests that hit a transient fault and still have attempt budget.
-    retries: List[MeasurementRequest] = field(default_factory=list)
     device_time_s: float = 0.0
     energy_j: float = 0.0
     reconfigurations: int = 0
@@ -477,9 +422,9 @@ class BatchOutcome:
 
 
 class _AttemptSlot:
-    """One planned ``(request, attempt)`` execution lane of a sweep batch.
+    """One planned ``(request, attempt)`` execution lane of a batch.
 
-    The counter-RNG executor expands every live request into the attempt
+    The executor expands every live request into the attempt
     chain its fault schedule predicts; each chain entry becomes one slot
     — one lane of the stage kernels, one context, one row of the batch's
     :class:`LaneBuffers`.  The ``request_id`` property deliberately
@@ -527,34 +472,27 @@ ENGINES: Tuple[str, ...] = ("scalar", "vector")
 class BatchExecutor:
     """Runs batches on one :class:`repro.app.system.FpgaReconfigSystem`.
 
-    ``stage_major=True`` is the batched mode (one slot load per pipeline
-    stage per batch); ``stage_major=False`` is the naive per-request
-    baseline the benchmarks compare against.
+    Every batch runs **stage-major**: one slot load per pipeline stage
+    per batch.  The per-request baseline the benchmarks compare against
+    is simply a batch of one (``FleetService(batched=False)``).
 
     ``engine`` selects how a stage's work is computed: ``"scalar"`` runs
     each request through the module behaviours one by one (the ground
     truth), ``"vector"`` runs all runnable requests of the stage through
     the batched kernels of :mod:`repro.kernels` (bit-identical results).
 
-    Fault handling depends on the injector's draw mode.  With a
-    sequential injector (the legacy default) a faulted attempt is
-    scrubbed, killed for this batch, and requeued through the broker's
-    exponential backoff — injector RNG order, scrub/evict and retry
-    semantics byte-for-byte unchanged from the pre-counter-RNG code.
-    With an order-independent (counter-mode) injector and stage-major
-    execution, faulted requests instead retry *inside the batch*: the
-    schedule is a pure function of ``(seed, request_id, attempt)``, so
-    the executor expands each request's predicted attempt chain up front
-    and keeps stage-major execution across retries — one slot load per
-    stage per batch, every attempt vectorized like any other lane, no
-    backoff paid and no straggler batches — see :meth:`_execute_sweeps`.
+    Faulted requests retry *inside the batch*: the fault schedule is a
+    pure function of ``(seed, request_id, attempt)``, so the executor
+    expands each request's predicted attempt chain up front and keeps
+    stage-major execution across retries — every attempt vectorized like
+    any other lane, no backoff paid and no straggler batches — see
+    :meth:`execute`.
     """
 
     def __init__(
         self,
         system: FpgaReconfigSystem,
         tanks: TankStateStore,
-        stage_major: bool = True,
         fault_injector: Optional[FaultInjector] = None,
         metrics: Optional[Metrics] = None,
         slot_index: int = 0,
@@ -565,13 +503,8 @@ class BatchExecutor:
     ):
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if engine == "vector" and not stage_major:
-            raise ValueError(
-                "the vector engine batches per stage and requires stage_major=True"
-            )
         self.system = system
         self.tanks = tanks
-        self.stage_major = stage_major
         self.fault_injector = fault_injector
         #: Fill a :class:`ResponseBlock` per batch (zero-copy wire path).
         self.emit_blocks = emit_blocks
@@ -616,9 +549,9 @@ class BatchExecutor:
 
     def stage_energy_j(self, stage: str, n_requests: int = 1) -> float:
         """Modelled dynamic energy of one stage for ``n_requests`` — the
-        same per-block activity model :meth:`_account` charges, exposed
-        per stage so spans can attribute energy the way the paper's
-        Table 2 attributes per-net power."""
+        same per-block activity model :meth:`_account_sweeps` charges,
+        exposed per stage so spans can attribute energy the way the
+        paper's Table 2 attributes per-net power."""
         if stage == "frontend":
             power = block_dynamic_power_w(frontend_slices(), 0.45, FRONTEND_CLOCK_MHZ)
         else:
@@ -668,11 +601,8 @@ class BatchExecutor:
         memory = controller.config_memory
         description = "transient device fault"
         if memory is not None and memory.frame_count:
-            injector = self.fault_injector
-            burst = injector.burst if injector else 1
-            faults = memory.inject_burst(
-                burst, injector.scrub_rng(request) if injector else None
-            )
+            burst = self.fault_injector.burst
+            faults = memory.inject_burst(burst, self.fault_injector.scrub_rng(request))
             self.metrics.inc("seu_bits_flipped", len(faults))
             golden = controller.golden_bitstream(self.slot_index)
             corrupted = memory.corrupted_frames(golden) if golden else []
@@ -702,7 +632,19 @@ class BatchExecutor:
     # ---------------------------------------------------------------- execute
 
     def execute(self, batch: Batch, worker: Optional[int] = None) -> BatchOutcome:
-        """Run a batch; returns responses, retry list and device accounting.
+        """Run a batch stage-major; returns responses and device accounting.
+
+        Requests already expired at batch entry are answered without
+        device work.  Every live request then expands into the attempt
+        chain its fault schedule predicts — attempt 1, plus one retry per
+        predicted fault while budget lasts — and each ``(request,
+        attempt)`` gets its own :class:`_AttemptSlot` lane; a batch
+        without faults is the one-attempt case.  Execution stays strictly
+        stage-major: each module is loaded **once per batch** and runs
+        every attempt that reaches its stage, so a retry costs one extra
+        kernel lane instead of a broker requeue (backoff delay, straggler
+        batch) or a full pipeline reload.  The fault path stays on
+        whichever engine the batch runs.
 
         Raises
         ------
@@ -741,285 +683,6 @@ class BatchExecutor:
                 outcome.block = ResponseBlock.from_responses(responses)
             return outcome
 
-        if (
-            self.fault_injector is not None
-            and self.fault_injector.order_independent
-            and self.stage_major
-        ):
-            # Counter-mode draws are order-independent, so faulted
-            # requests retry in-batch instead of through the broker.
-            return self._execute_sweeps(batch, live, responses, worker)
-
-        loads_before = self.system.controller.configured_load_count
-        records_before = len(self.system.controller.loads)
-        lanes = LaneBuffers(len(live)) if self._vector is not None else None
-        block = ResponseBlock(len(batch.requests)) if self.emit_blocks else None
-        if block is not None:
-            for response in responses:  # expired at batch entry
-                block.push(response)
-        contexts: Dict[int, dict] = {
-            r.request_id: {"session": self.tanks.session(r.tank_id), "row": i}
-            for i, r in enumerate(live)
-        }
-        fault_at: Dict[int, int] = {}
-        if self.fault_injector is not None:
-            for request in live:
-                stage_index = self.fault_injector.fault_stage(request)
-                if stage_index is not None:
-                    fault_at[request.request_id] = stage_index
-        failed: Dict[int, str] = {}
-
-        def run_request_stage(stage_index: int, stage: str, request: MeasurementRequest) -> None:
-            if request.request_id in failed:
-                return
-            if fault_at.get(request.request_id) == stage_index:
-                failed[request.request_id] = self._inject_and_scrub(request)
-                return
-            self._run_stage(stage, request, contexts[request.request_id])
-
-        # One span segment covers the whole batch; it is grafted into
-        # every live request's trace afterwards.  While the segment is
-        # the thread's ambient trace, the cache and the kernel engine
-        # attach their own spans to it.
-        seg = self.tracer.segment(f"batch-{batch.batch_id}") if self.tracer.enabled else None
-        if seg is not None:
-            seg.begin(
-                "execute",
-                batch_id=batch.batch_id,
-                size=batch.size,
-                live=len(live),
-                engine=self.engine,
-                stage_major=self.stage_major,
-                worker=worker,
-            )
-            self.tracer.push(seg)
-        self._seg = seg
-        try:
-            if self.stage_major:
-                for stage_index, stage in enumerate(batch.pipeline):
-                    if seg is not None:
-                        seg.begin(f"stage:{stage}", batch_id=batch.batch_id, stage=stage)
-                        reconfig_t0 = self.clock()
-                    record = self.system.controller.load(stage, self.slot_index)
-                    if seg is not None:
-                        seg.add(
-                            "reconfig",
-                            reconfig_t0,
-                            self.clock(),
-                            batch_id=batch.batch_id,
-                            stage=stage,
-                            module=record.module,
-                            cached=record.config.bitstream_bytes == 0,
-                            device_time_s=record.total_time_s,
-                            energy_j=record.energy_j,
-                        )
-                        compute_t0 = self.clock()
-                        seg.begin(
-                            "compute",
-                            t0=compute_t0,
-                            batch_id=batch.batch_id,
-                            stage=stage,
-                            engine=self.engine,
-                        )
-                    started = time.perf_counter()
-                    if self._vector is not None:
-                        # Faulting requests first, in batch order (preserving
-                        # the injector's RNG stream), then one kernel call for
-                        # the runnable rest.
-                        runnable: List[MeasurementRequest] = []
-                        for request in live:
-                            if request.request_id in failed:
-                                continue
-                            if fault_at.get(request.request_id) == stage_index:
-                                failed[request.request_id] = self._inject_and_scrub(request)
-                                continue
-                            runnable.append(request)
-                        self._vector.run_stage(stage, runnable, contexts, lanes)
-                    else:
-                        for request in live:
-                            run_request_stage(stage_index, stage, request)
-                    elapsed = time.perf_counter() - started
-                    self.metrics.observe(f"stage_{stage}_s", elapsed)
-                    if seg is not None:
-                        seg.end("compute", t1=compute_t0 + elapsed, wall_s=elapsed)
-                        seg.end(
-                            f"stage:{stage}",
-                            requests=len(live),
-                            cycles=self.stage_cycles(stage, len(live)),
-                            energy_j=self.stage_energy_j(stage, len(live)),
-                        )
-            else:
-                n_stages = len(batch.pipeline)
-                stage_elapsed = [0.0] * n_stages
-                stage_t0: List[Optional[float]] = [None] * n_stages
-                stage_t1 = [0.0] * n_stages
-                for request in live:
-                    for stage_index, stage in enumerate(batch.pipeline):
-                        self.system.controller.load(stage, self.slot_index)
-                        if stage_t0[stage_index] is None:
-                            stage_t0[stage_index] = self.clock()
-                        started = time.perf_counter()
-                        run_request_stage(stage_index, stage, request)
-                        stage_elapsed[stage_index] += time.perf_counter() - started
-                        stage_t1[stage_index] = self.clock()
-                for stage_index, (stage, elapsed) in enumerate(
-                    zip(batch.pipeline, stage_elapsed)
-                ):
-                    self.metrics.observe(f"stage_{stage}_s", elapsed)
-                    if seg is not None:
-                        # Per-request serving interleaves stages, so the
-                        # spans are reconstructed flat: one per stage,
-                        # spanning first entry to last exit, carrying the
-                        # exact summed compute time the metrics observed.
-                        t0 = stage_t0[stage_index] or 0.0
-                        seg.begin(f"stage:{stage}", t0=t0, batch_id=batch.batch_id, stage=stage)
-                        seg.begin(
-                            "compute",
-                            t0=t0,
-                            batch_id=batch.batch_id,
-                            stage=stage,
-                            engine=self.engine,
-                        )
-                        seg.end("compute", t1=stage_t1[stage_index], wall_s=elapsed)
-                        seg.end(
-                            f"stage:{stage}",
-                            t1=stage_t1[stage_index],
-                            requests=len(live),
-                            cycles=self.stage_cycles(stage, len(live)),
-                            energy_j=self.stage_energy_j(stage, len(live)),
-                        )
-        finally:
-            self._seg = None
-            if seg is not None:
-                self.tracer.pop()
-
-        reconfigs = self.system.controller.configured_load_count - loads_before
-        would_be = len(batch.pipeline) * len(live)
-        avoided = max(0, would_be - reconfigs)
-        batch_loads = self.system.controller.loads[records_before:]
-        device_time, energy = self._account(batch, live, batch_loads)
-        share = energy / len(live) if live else 0.0
-        if seg is not None:
-            seg.end(
-                "execute",
-                device_time_s=device_time,
-                energy_j=energy,
-                reconfigurations=reconfigs,
-                reconfigurations_avoided=avoided,
-            )
-            for request in live:
-                if request.trace is not None:
-                    request.trace.extend(seg)
-
-        retries: List[MeasurementRequest] = []
-        faults = len(failed)
-        end = self.clock()
-        for request in live:
-            ctx = contexts[request.request_id]
-            if request.request_id in failed:
-                if request.attempts < request.max_attempts:
-                    retries.append(request)
-                else:
-                    self.metrics.inc("requests_failed")
-                    response = MeasurementResponse(
-                        request_id=request.request_id,
-                        tank_id=request.tank_id,
-                        status=STATUS_FAILED,
-                        energy_j=share,
-                        device_time_s=device_time,
-                        latency_s=end - request.submitted_at,
-                        attempts=request.attempts,
-                        worker=worker,
-                        batch_id=batch.batch_id,
-                        batch_size=batch.size,
-                        error=failed[request.request_id],
-                    )
-                    responses.append(response)
-                    if block is not None:
-                        block.push(response)
-                continue
-            if lanes is not None:
-                row = ctx["row"]
-                lv = lanes.level[row]
-                c = lanes.c_pf[row]
-                # NaN marks a stage the pipeline never ran for this lane
-                # (the kernels cannot produce NaN: quantize_array raises).
-                level = float(lv) if lv == lv else None
-                c_pf = float(c) if c == c else None
-            else:
-                level = ctx.get("level")
-                c_pf = ctx.get("c_pf")
-            self.metrics.inc("requests_served")
-            response = MeasurementResponse(
-                request_id=request.request_id,
-                tank_id=request.tank_id,
-                status=STATUS_OK,
-                level_measured=level,
-                capacitance_pf=c_pf,
-                energy_j=share,
-                device_time_s=device_time,
-                latency_s=end - request.submitted_at,
-                attempts=request.attempts,
-                worker=worker,
-                batch_id=batch.batch_id,
-                batch_size=batch.size,
-            )
-            responses.append(response)
-            if block is not None:
-                if lanes is not None:
-                    block.push(response, lanes, ctx["row"])
-                else:
-                    block.push(response)
-
-        self.metrics.inc("reconfigurations", reconfigs)
-        self.metrics.inc("reconfigurations_avoided", avoided)
-        self.metrics.add("device_time_s", device_time)
-        self.metrics.add("energy_j", energy)
-        if live:
-            # Per-request energy share of this batch: the distribution the
-            # energy policy optimizes (scheduling changes move it, total
-            # ``energy_j`` alone would hide the per-request win).
-            self.metrics.observe("joules_per_request", share)
-        self.metrics.add(
-            "reconfig_energy_j", sum(r.energy_j for r in batch_loads)
-        )
-        return BatchOutcome(
-            batch=batch,
-            responses=responses,
-            retries=retries,
-            device_time_s=device_time,
-            energy_j=energy,
-            reconfigurations=reconfigs,
-            reconfigurations_avoided=avoided,
-            faults=faults,
-            block=block,
-        )
-
-    # -------------------------------------------------- in-batch fault sweeps
-
-    def _execute_sweeps(
-        self,
-        batch: Batch,
-        live: List[MeasurementRequest],
-        responses: List[MeasurementResponse],
-        worker: Optional[int],
-    ) -> BatchOutcome:
-        """Stage-major execution with in-batch fault-retry attempts.
-
-        Requires an order-independent fault injector: each attempt's
-        schedule is keyed on ``(request_id, attempt)``, so it can be
-        *predicted* before anything runs.  The executor expands every
-        live request into its predicted attempt chain — attempt 1, plus
-        one retry per predicted fault while budget lasts — and gives
-        each ``(request, attempt)`` its own :class:`_AttemptSlot` lane.
-        Execution then stays strictly stage-major: each module is loaded
-        **once per batch** and runs every attempt that reaches its stage,
-        so a retry costs one extra kernel lane instead of a broker
-        requeue (backoff delay, straggler batch) or a full pipeline
-        reload per sweep.  The fault path stays on whichever engine the
-        batch runs, which is what keeps the vector speedup intact on
-        faulty workloads.
-        """
         injector = self.fault_injector
         controller = self.system.controller
         loads_before = controller.configured_load_count
@@ -1028,8 +691,6 @@ class BatchExecutor:
         # Plan: expand each request's predicted attempt chain.  The
         # injector's draws are pure functions of (request, attempt), so
         # planning consumes nothing and cannot shift any other draw.
-        # ``fault_stage`` (not ``predict_stage``) keeps the fired count
-        # and rate bookkeeping identical to the sequential path.
         slots: List[_AttemptSlot] = []
         final_slot: Dict[int, _AttemptSlot] = {}
         exhausted: Dict[int, str] = {}
@@ -1039,7 +700,9 @@ class BatchExecutor:
             rid = request.request_id
             chain = 0
             while True:
-                stage_index = injector.fault_stage(request)
+                stage_index = (
+                    injector.fault_stage(request) if injector is not None else None
+                )
                 slot = _AttemptSlot(
                     request, request.attempts, stage_index, len(slots)
                 )
@@ -1074,6 +737,10 @@ class BatchExecutor:
             for slot in slots
         }
 
+        # One span segment covers the whole batch; it is grafted into
+        # every live request's trace afterwards.  While the segment is
+        # the thread's ambient trace, the cache and the kernel engine
+        # attach their own spans to it.
         seg = self.tracer.segment(f"batch-{batch.batch_id}") if self.tracer.enabled else None
         if seg is not None:
             seg.begin(
@@ -1083,7 +750,6 @@ class BatchExecutor:
                 live=len(live),
                 attempts=participants,
                 engine=self.engine,
-                stage_major=True,
                 worker=worker,
             )
             self.tracer.push(seg)
@@ -1255,12 +921,12 @@ class BatchExecutor:
         self.metrics.add("device_time_s", device_time)
         self.metrics.add("energy_j", energy)
         self.metrics.observe("joules_per_request", share)
-        self.metrics.observe("fault_sweeps", sweeps)
+        if injector is not None:
+            self.metrics.observe("fault_sweeps", sweeps)
         self.metrics.add("reconfig_energy_j", sum(r.energy_j for r in batch_loads))
         return BatchOutcome(
             batch=batch,
             responses=responses,
-            retries=[],
             device_time_s=device_time,
             energy_j=energy,
             reconfigurations=reconfigs,
@@ -1272,44 +938,6 @@ class BatchExecutor:
 
     # ------------------------------------------------------------- accounting
 
-    def _account(self, batch: Batch, live: List[MeasurementRequest], batch_loads) -> Tuple[float, float]:
-        """Simulated device time and energy of one batch, mirroring the
-        per-cycle model of ``FpgaReconfigSystem.run_cycle``."""
-        system = self.system
-        n = len(live)
-        if n == 0:
-            return 0.0, 0.0
-        per_request_compute = sum(
-            self._stage_time_s[s] for s in batch.pipeline if s != "frontend"
-        )
-        sample_total = system.sample_time_s * n if "frontend" in batch.pipeline else 0.0
-        reconfig_time = sum(r.total_time_s for r in batch_loads)
-        reconfig_energy = sum(r.energy_j for r in batch_loads)
-        io_time = (system.fsl_transfer_s + system._io_time_s()) * n
-        device_time = reconfig_time + sample_total + per_request_compute * n + io_time
-
-        params = system.params
-        clock_power = clock_tree_power_w(system.device, 1400, system.hw_clock_mhz, params)
-        clock_span = (
-            (per_request_compute + system.fsl_transfer_s) * n
-            if system.clock_gating
-            else device_time
-        )
-        energy = static_power_w(system.device, params) * device_time
-        energy += clock_power * clock_span
-        for stage in batch.pipeline:
-            energy += self.stage_energy_j(stage, n)
-        energy += (
-            block_dynamic_power_w(
-                MICROBLAZE_FOOTPRINT.slices,
-                MICROBLAZE_FOOTPRINT.mean_activity,
-                MICROBLAZE_CLOCK_MHZ,
-            )
-            * device_time
-        )
-        energy += reconfig_energy
-        return device_time, energy
-
     def _account_sweeps(
         self,
         batch: Batch,
@@ -1317,10 +945,9 @@ class BatchExecutor:
         stage_requests: Dict[str, int],
         participants: int,
     ) -> Tuple[float, float]:
-        """Device time and energy of a sweep-mode batch.
-
-        Same per-cycle model as :meth:`_account`, but charged by actual
-        stage participation: a request that faulted at stage *k* of
+        """Simulated device time and energy of one batch, mirroring the
+        per-cycle model of ``FpgaReconfigSystem.run_cycle``, charged by
+        actual stage participation: a request that faulted at stage *k* of
         sweep *j* only ran stages ``0..k`` that sweep, and re-ran the
         pipeline on the next sweep.  ``stage_requests[stage]`` counts
         request-runs of each stage across all sweeps; ``participants``
@@ -1328,8 +955,6 @@ class BatchExecutor:
         transfer costs scale with).
         """
         system = self.system
-        if participants == 0:
-            return 0.0, 0.0
         compute_time = sum(
             self._stage_time_s[s] * stage_requests.get(s, 0)
             for s in batch.pipeline

@@ -11,7 +11,7 @@ that loop with three pieces:
 
 * :class:`EnergyModel` — prices a candidate batch (size × stage order ×
   device) in joules/request *before* dispatch, mirroring the accounting
-  :meth:`repro.serve.batching.BatchExecutor._account` charges after the
+  :meth:`repro.serve.batching.BatchExecutor._account_sweeps` charges after the
   fact.  ``from_system`` reads every cost off a live
   :class:`~repro.app.system.FpgaReconfigSystem` (predictions match the
   executor's measurements near-exactly); ``for_device`` prices a catalog
@@ -50,7 +50,7 @@ from repro.reconfig.slots import FloorplanError, plan_floorplan
 from repro.softcore.footprint import MICROBLAZE_FOOTPRINT
 
 #: Sequential cells charged to the hardware clock tree (matches
-#: ``BatchExecutor._account`` and ``FpgaReconfigSystem.run_cycle``).
+#: ``BatchExecutor._account_sweeps`` and ``FpgaReconfigSystem.run_cycle``).
 CLOCK_TREE_CELLS = 1400
 
 #: Default fill window the energy policy waits for a fuller batch when a
@@ -95,7 +95,7 @@ class BatchEnergyEstimate:
 class EnergyModel:
     """Prices candidate batches in joules, mirroring the executor.
 
-    The estimate reproduces ``BatchExecutor._account`` term by term:
+    The estimate reproduces ``BatchExecutor._account_sweeps`` term by term:
     static power over the whole device-busy span, clock-tree power over
     the (possibly gated) clock span, per-stage block dynamic energy, the
     MicroBlaze controller's dynamic power, and one reconfiguration per

@@ -1,15 +1,14 @@
 """Counter-based (order-independent) randomness for fault injection.
 
-The original :class:`repro.serve.batching.FaultInjector` draws from one
-shared sequential ``random.Random``: every ``fault_stage`` call consumes
-stream state, so the fault schedule depends on *the order requests are
-asked about* — which is exactly the batch composition and execution
-order.  That coupling is what forced fault handling onto the
-requeue-with-backoff path: retrying a faulted request inside its own
-batch would change the draw order for every later request and silently
-shift the whole campaign.
+A fault injector drawing from one shared sequential ``random.Random``
+consumes stream state on every call, so its fault schedule depends on
+*the order requests are asked about* — which is exactly the batch
+composition and execution order.  That coupling forces fault handling
+onto a requeue-with-backoff path: retrying a faulted request inside its
+own batch would change the draw order for every later request and
+silently shift the whole campaign.
 
-This module provides the replacement scheme: every draw is a pure
+:class:`repro.serve.batching.FaultInjector` uses this module instead: every draw is a pure
 function of ``(seed, label, request_id, attempt)``, derived by hashing
 the key with BLAKE2b and mapping the 64-bit digest onto the needed
 range.  Properties the rest of the system builds on:

@@ -162,10 +162,6 @@ class FleetWorker(threading.Thread):
             if self.admission is not None:
                 self.admission.observe_batch(batch.size, wall_s)
             self.metrics.observe("batch_exec_s", wall_s)
-            for request in outcome.retries:
-                delay = self.broker.requeue(request)
-                self.metrics.inc("requests_retried")
-                self.metrics.observe("retry_backoff_s", delay)
             self.energy_j += outcome.energy_j
             self.device_time_s += outcome.device_time_s
             self.requests_served += sum(1 for r in outcome.responses if r.ok)
@@ -398,7 +394,6 @@ class FleetService:
         executor = BatchExecutor(
             system,
             self.tanks,
-            stage_major=self.batched,
             fault_injector=self.fault_injector,
             metrics=self.metrics,
             clock=self.clock,

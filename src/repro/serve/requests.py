@@ -181,7 +181,7 @@ class RequestBroker:
     """Bounded FIFO request queue with backpressure and retry holds.
 
     Thread-safe: producers call :meth:`submit`, the scheduler calls
-    :meth:`take`, workers call :meth:`requeue` on transient faults.
+    :meth:`take`, workers call :meth:`requeue` on failed batches.
     """
 
     def __init__(
@@ -298,7 +298,7 @@ class RequestBroker:
             return ahead
 
     def requeue(self, request: MeasurementRequest) -> float:
-        """Re-enqueue a request after a transient fault, with backoff.
+        """Re-enqueue a request after a failed batch, with backoff.
 
         Retries bypass the capacity bound — rejecting already-admitted
         work would turn one bit flip into a dropped request.  Returns the

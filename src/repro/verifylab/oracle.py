@@ -160,11 +160,8 @@ class ReferenceExecutor:
         Raises
         ------
         ValueError
-            If the injector is order-dependent (sequential mode) or a
-            tank carries more than one request.
+            If a tank carries more than one request.
         """
-        if not injector.order_independent:
-            raise ValueError("fault replay requires a counter-mode injector")
         seen_tanks: Dict[str, int] = {}
         for request in self.scenario.requests():
             if request.tank_id in seen_tanks:
@@ -234,13 +231,11 @@ def serve_scenario(
 
     One worker, requests pre-submitted before the pool starts: per-tank
     execution order (and therefore every numeric result) is deterministic.
-    ``engine`` selects the scalar or vectorized execution path; the
-    vector engine requires batched (stage-major) execution, so unbatched
-    scenarios fall back to the scalar engine.  ``policy`` selects batch
-    formation (``"energy"`` likewise falls back to FIFO when unbatched);
-    the oracle's per-tank FIFO guarantee makes any policy's results
-    bit-exact against the reference, which is exactly what this check
-    enforces.
+    ``engine`` selects the scalar or vectorized execution path.
+    ``policy`` selects batch formation (``"energy"`` falls back to FIFO
+    when unbatched); the oracle's per-tank FIFO guarantee makes any
+    policy's results bit-exact against the reference, which is exactly
+    what this check enforces.
 
     Raises
     ------
@@ -258,7 +253,7 @@ def serve_scenario(
         cache=cache if cache is not None else _shared_cache,
         noise_rms=scenario.noise_rms,
         fault_injector=fault_injector,
-        engine=engine if scenario.batched else "scalar",
+        engine=engine,
         policy=policy if scenario.batched else "fifo",
     )
     accepted, rejected = service.submit_many(requests)
@@ -392,23 +387,13 @@ def check_fault_scenario(
         scenario, deviations={name: 0.0 for name in ORACLE_FIELDS}
     )
     reference = ReferenceExecutor(scenario).run_with_faults(
-        FaultInjector(
-            rate,
-            seed=scenario.seed,
-            burst=burst,
-            retry_rate=retry_rate,
-            mode="counter",
-        )
+        FaultInjector(rate, seed=scenario.seed, burst=burst, retry_rate=retry_rate)
     )
     responses = serve_scenario(
         scenario,
         cache=cache,
         fault_injector=FaultInjector(
-            rate,
-            seed=scenario.seed,
-            burst=burst,
-            retry_rate=retry_rate,
-            mode="counter",
+            rate, seed=scenario.seed, burst=burst, retry_rate=retry_rate
         ),
         engine=engine,
     )

@@ -1,7 +1,7 @@
-"""Property-based tests of the counter-mode fault RNG.
+"""Property-based tests of the counter-based fault RNG.
 
 The in-batch retry sweeps and the mixed faulty/clean oracle both stand
-on one claim: in ``mode="counter"`` every fault draw is a pure function
+on one claim: every fault draw is a pure function
 of ``(seed, request_id, attempt)`` — independent of call order, batch
 composition, interleaving and engine.  These tests state that claim as
 properties and let hypothesis hunt for a composition that breaks it.
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import MeasurementRequest
-from repro.serve.batching import FAULT_MODES, STANDARD_PIPELINE, FaultInjector
+from repro.serve.batching import STANDARD_PIPELINE, FaultInjector
 from repro.serve.faultrng import CounterRng
 
 ids = st.integers(min_value=0, max_value=2**31)
@@ -94,7 +94,7 @@ def test_stream_replays_identically(seed, request_id, attempt, k):
 )
 @settings(max_examples=200, deadline=None)
 def test_predict_stage_range_and_purity(seed, rate, retry_rate, request_id, attempt):
-    injector = FaultInjector(rate, seed=seed, retry_rate=retry_rate, mode="counter")
+    injector = FaultInjector(rate, seed=seed, retry_rate=retry_rate)
     stage = injector.predict_stage(request_id, attempt, len(STANDARD_PIPELINE))
     assert stage is None or 0 <= stage < len(STANDARD_PIPELINE)
     # predict consumes nothing: asking again (or about other requests
@@ -113,8 +113,8 @@ def test_schedule_is_independent_of_draw_order(seed, rate, data):
     """The whole-fleet fault schedule is a set, not a sequence: two
     injectors asked about the same (request, attempt) keys in different
     orders agree on every draw."""
-    forward = FaultInjector(rate, seed=seed, retry_rate=rate / 2, mode="counter")
-    backward = FaultInjector(rate, seed=seed, retry_rate=rate / 2, mode="counter")
+    forward = FaultInjector(rate, seed=seed, retry_rate=rate / 2)
+    backward = FaultInjector(rate, seed=seed, retry_rate=rate / 2)
     schedule = {
         (rid, att): forward.fault_stage(_request(rid, att)) for rid, att in data
     }
@@ -128,7 +128,7 @@ def test_schedule_is_independent_of_draw_order(seed, rate, data):
 def test_scrub_streams_are_independent_between_events(seed, data):
     """Each fault event's burst draws depend only on its own key, not on
     how many other scrub events ran before it."""
-    injector = FaultInjector(1.0, seed=seed, mode="counter")
+    injector = FaultInjector(1.0, seed=seed)
     expected = {}
     for rid, att in data:
         expected[(rid, att)] = [
@@ -145,26 +145,8 @@ def test_scrub_streams_are_independent_between_events(seed, data):
         assert draws == expected[(rid, att)]
 
 
-def test_counter_mode_rejects_max_faults():
-    with pytest.raises(ValueError, match="order-dependent"):
-        FaultInjector(0.5, mode="counter", max_faults=3)
-
-
-def test_sequential_mode_cannot_predict():
-    injector = FaultInjector(0.5, seed=1)
-    assert not injector.order_independent
-    with pytest.raises(RuntimeError):
-        injector.predict_stage(0, 1, len(STANDARD_PIPELINE))
-
-
-def test_unknown_mode_rejected():
-    assert FAULT_MODES == ("sequential", "counter")
-    with pytest.raises(ValueError, match="mode"):
-        FaultInjector(0.5, mode="chaotic")
-
-
 def test_predict_stage_validates_stage_count():
-    injector = FaultInjector(0.5, mode="counter")
+    injector = FaultInjector(0.5)
     with pytest.raises(ValueError):
         injector.predict_stage(0, 1, 0)
 
@@ -174,7 +156,7 @@ def test_predict_stage_validates_stage_count():
 def test_counter_strike_rate_tracks_configured_rate(seed):
     """Sanity on the digest-to-uniform mapping: over many keys the
     realized first-attempt strike fraction lands near ``rate``."""
-    injector = FaultInjector(0.3, seed=seed, mode="counter")
+    injector = FaultInjector(0.3, seed=seed)
     hits = sum(
         injector.predict_stage(rid, 1, len(STANDARD_PIPELINE)) is not None
         for rid in range(400)

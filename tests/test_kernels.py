@@ -7,6 +7,8 @@ compares the two engines at tolerance 1e-9 and the fixed-point
 quantization would surface any last-ulp drift.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.kernels.dsp_kernels import goertzel_fast_path
 from repro.kernels.native import DISABLE_ENV, _adc_chain_python, native_available
 from repro.serve import ENGINES, FleetService, synthetic_load
 from repro.serve.batching import BatchExecutor, FaultInjector, TankStateStore
+from repro.shard.wire import response_to_wire
 
 CIRCUIT = MeasurementCircuit()
 TONE = 500_000.0
@@ -407,32 +410,28 @@ def test_vector_engine_equals_scalar_engine():
         assert v[request_id].capacitance_pf == s[request_id].capacitance_pf
 
 
-def test_vector_engine_preserves_fault_semantics():
-    """Fault-injected requests fall back to the scalar path: both engines
-    see identical fault schedules, retries and final answers."""
-    results = {}
-    for engine in ENGINES:
-        service = run_service(
-            synthetic_load(12, n_tanks=3),
+def test_per_request_mode_runs_the_vector_engine_bit_exactly():
+    """Per-request serving is a batch of one, so the vector engine serves
+    it with responses identical to the scalar engine's."""
+    results = {
+        engine: run_service(
+            synthetic_load(6, n_tanks=2),
             workers=1,
-            max_batch=6,
-            seed=9,
+            batched=False,
+            seed=7,
             engine=engine,
-            fault_injector=FaultInjector(0.4, seed=3),
         )
-        results[engine] = service
+        for engine in ENGINES
+    }
     s, v = by_id(results["scalar"]), by_id(results["vector"])
-    assert set(s) == set(v)
+    assert set(s) == set(v) and len(s) == 6
     for request_id in s:
-        assert v[request_id].status == s[request_id].status
-        assert v[request_id].attempts == s[request_id].attempts
-        assert v[request_id].level_measured == s[request_id].level_measured
-    assert results["vector"].metrics.counter("faults_injected") == results[
-        "scalar"
-    ].metrics.counter("faults_injected")
-    assert results["vector"].metrics.counter("requests_retried") == results[
-        "scalar"
-    ].metrics.counter("requests_retried")
+        assert v[request_id].ok and v[request_id].batch_size == 1
+        scalar_wire, vector_wire = (
+            response_to_wire(r) for r in (s[request_id], v[request_id])
+        )
+        del scalar_wire["latency_s"], vector_wire["latency_s"]  # wall clock
+        assert json.dumps(vector_wire) == json.dumps(scalar_wire)
 
 
 def test_engine_validation():
@@ -440,10 +439,6 @@ def test_engine_validation():
     executor = service.workers[0].executor
     with pytest.raises(ValueError, match="engine must be one of"):
         BatchExecutor(executor.system, service.tanks, engine="simd")
-    with pytest.raises(ValueError, match="stage_major"):
-        BatchExecutor(
-            executor.system, service.tanks, stage_major=False, engine="vector"
-        )
     with pytest.raises(ValueError, match="engine must be one of"):
         FleetService(workers=1, engine="simd")
 
@@ -489,7 +484,7 @@ def test_counter_mode_sweeps_keep_engines_identical():
             seed=9,
             engine=engine,
             fault_injector=FaultInjector(
-                0.4, seed=3, retry_rate=0.2, mode="counter"
+                0.4, seed=3, retry_rate=0.2
             ),
         )
     s, v = by_id(results["scalar"]), by_id(results["vector"])

@@ -236,7 +236,7 @@ def test_service_block_delivery_under_counter_faults():
         max_batch=8,
         batched=True,
         seed=5,
-        fault_injector=FaultInjector(0.5, seed=5, retry_rate=0.25, mode="counter"),
+        fault_injector=FaultInjector(0.5, seed=5, retry_rate=0.25),
         queue_capacity=32,
         on_deliver_block=blocks.append,
     ).start()

@@ -406,6 +406,17 @@ class TestScenarioOracle:
         shrunk = shrink_scenario(scenario, lambda s: s.n_requests >= 1)
         assert shrunk.n_requests == 1
 
+    def test_shrink_reports_a_crash_on_a_candidate(self):
+        scenario = generate_priority_scenario(3)
+
+        def fails(candidate):
+            if candidate is not scenario:
+                raise RuntimeError("checker crashed on a candidate")
+            return True
+
+        with pytest.raises(RuntimeError, match="checker crashed"):
+            shrink_scenario(scenario, fails)
+
 
 def test_scenario_golden_traces_match():
     assert check_scenario_golden() == []

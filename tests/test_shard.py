@@ -347,6 +347,26 @@ def test_router_serves_all_requests_with_tank_affinity():
     assert snapshot["histograms"]["latency_s"]["p95"] is not None
 
 
+def test_shard_device_faults_retry_in_batch():
+    """Device faults on a shard retry inside their batch: the merged
+    snapshot counts every retry as in-batch, and every request settles
+    exactly once."""
+    config = ShardConfig(shards=2, seed=3, fault_rate=0.3, supervise=False)
+    router = ShardRouter(config).start()
+    try:
+        requests = synthetic_load(24, n_tanks=6, seed=1)
+        accepted, rejected = _serve(router, requests)
+        assert (accepted, rejected) == (24, [])
+        responses = router.responses()
+        snapshot = router.metrics_snapshot()
+    finally:
+        assert router.shutdown()
+    assert sorted(r.request_id for r in responses) == list(range(24))
+    assert all(r.status == "ok" for r in responses)
+    counters = snapshot["counters"]
+    assert counters["retries_in_batch"] == counters["requests_retried"] > 0
+
+
 def test_router_backpressure_bounds_inflight_per_shard():
     config = ShardConfig(shards=1, queue_capacity=4, supervise=False)
     router = ShardRouter(config).start()

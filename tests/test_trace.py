@@ -515,21 +515,37 @@ def test_untraced_service_attaches_no_traces():
 
 
 def test_retry_trace_shows_backoff_and_second_execute():
+    """A device fault retries inside the batch: the trace shows the scrub
+    within one execute and no broker backoff."""
     by_id, _, _ = _run_traced_service(fault_rate=1.0, seed=7)
     for trace in by_id.values():
         (respond,) = trace.find("respond")
         assert respond.attrs["status"] == "ok"
         assert respond.attrs["attempts"] == 2
-        # First attempt faulted: scrub happened, a retry_wait recorded the
-        # backoff, the request queued twice and executed twice.
-        assert len(trace.find("retry_wait")) == 1
-        assert len(trace.find("queue")) == 2
-        assert len(trace.find("execute")) == 2
         assert trace.find("seu_scrub")
-        retry_wait = trace.find("retry_wait")[0]
-        assert retry_wait.attrs["delay_s"] > 0.0
-        queue_retry = trace.find("queue")[1]
-        assert queue_retry.attrs["retry"] is True
+        assert len(trace.find("execute")) == 1
+        assert len(trace.find("queue")) == 1
+        assert not trace.find("retry_wait")
+
+
+def test_failed_batch_trace_shows_backoff_and_second_execute():
+    """A worker error fails the whole batch: its requests retry through
+    the broker, and the trace records the backoff and a second execute."""
+    from repro.chaos import ChaosMonkey
+
+    monkey = ChaosMonkey(seed=0, exec_error_rate=1.0, max_exec_errors=1)
+    by_id, _, _ = _run_traced_service(chaos=monkey)
+    retried = [t for t in by_id.values() if t.find("retry_wait")]
+    assert retried  # the first batch failed and went back to the broker
+    for trace in retried:
+        (respond,) = trace.find("respond")
+        assert respond.attrs["status"] == "ok"
+        assert respond.attrs["attempts"] == 2
+        assert len(trace.find("retry_wait")) == 1
+        assert trace.find("retry_wait")[0].attrs["delay_s"] > 0.0
+        assert len(trace.find("queue")) == 2
+        assert trace.find("queue")[1].attrs["retry"] is True
+        assert len(trace.find("execute")) == 1  # the failed one emitted none
 
 
 def test_expired_request_trace_has_no_device_work():

@@ -135,15 +135,6 @@ class TestFaultOracle:
         for s_check, v_check in zip(scalar.checks, vector.checks):
             assert s_check.to_dict() == v_check.to_dict()
 
-    def test_sequential_injector_rejected_for_replay(self):
-        from repro.serve.batching import FaultInjector
-        from repro.verifylab.oracle import ReferenceExecutor
-
-        with pytest.raises(ValueError, match="counter"):
-            ReferenceExecutor(generate_fault_scenario(0)).run_with_faults(
-                FaultInjector(0.3, seed=0)
-            )
-
     def test_shared_tank_scenario_rejected_for_replay(self):
         from repro.serve.batching import FaultInjector
         from repro.verifylab.oracle import ReferenceExecutor
@@ -151,7 +142,7 @@ class TestFaultOracle:
         scenario = retarget_single_tank(generate_scenario(11))
         with pytest.raises(ValueError, match="one request per tank"):
             ReferenceExecutor(scenario).run_with_faults(
-                FaultInjector(0.3, seed=11, mode="counter")
+                FaultInjector(0.3, seed=11)
             )
 
     def test_report_shape(self):
