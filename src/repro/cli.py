@@ -15,8 +15,8 @@ Exposes the headline analyses as subcommands::
                                 #   (steady/diurnal/flash/ramp/slow)
     repro trace-report FILE     # per-stage breakdown + flamegraph of traces
     repro verifylab oracle      # differential oracle over seeded scenarios
-                                #   (--shards N: sharded == single, exactly;
-                                #    --net: TCP edge == in-process, exactly)
+                                #   (--transport local|shard|net x
+                                #    --family plain|faults|drift|thermal|priority)
     repro verifylab fuzz        # scenario fuzzing with shrinking
     repro verifylab campaign    # SEU fault campaign with JSON report
     repro verifylab golden      # golden-trace check / refresh
@@ -374,39 +374,20 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verifylab_oracle(args: argparse.Namespace) -> int:
-    from repro.verifylab import (
-        run_fault_oracle,
-        run_net_oracle,
-        run_oracle,
-        run_shard_oracle,
+    from repro.verifylab import check_cell, run_oracle
+
+    try:
+        check_cell(args.family, args.transport, args.engine, args.policy)
+    except ValueError as exc:
+        print(f"verifylab oracle: {exc}", file=sys.stderr)
+        return 2
+    report = run_oracle(
+        range(args.start_seed, args.start_seed + args.seeds),
+        family=args.family,
+        transport=args.transport,
+        engine=args.engine,
+        policy=args.policy,
     )
-
-    seeds = range(args.start_seed, args.start_seed + args.seeds)
-    if args.scenario:
-        from repro.scenarios import run_scenario_oracle
-
-        report = run_scenario_oracle(args.scenario, seeds, engine=args.engine)
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    if args.net:
-        report = run_net_oracle(seeds, clients=args.net_clients, engine=args.engine)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
-    if args.faults:
-        report = run_fault_oracle(
-            seeds,
-            rate=args.fault_rate,
-            retry_rate=args.retry_rate,
-            burst=args.burst,
-            engine=args.engine,
-        )
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    if args.shards:
-        report = run_shard_oracle(seeds, shards=args.shards, engine=args.engine)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
-    report = run_oracle(seeds, engine=args.engine, policy=args.policy)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
 
@@ -546,43 +527,19 @@ def _cmd_shard_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_verifylab_golden(args: argparse.Namespace) -> int:
-    from repro.scenarios import (
-        SCENARIO_CANONICAL_SEEDS,
-        check_scenario_golden,
-        write_scenario_golden,
-    )
     from repro.verifylab import CANONICAL_SEEDS, check_golden, write_golden
 
-    scenario_seeds = {
-        family: list(seeds) for family, seeds in SCENARIO_CANONICAL_SEEDS.items()
-    }
+    seeds = {family: list(seeds) for family, seeds in CANONICAL_SEEDS.items()}
     if args.update:
         written = write_golden(args.dir)
-        written += write_scenario_golden(args.dir)
         print(
             json.dumps(
-                {
-                    "updated": [str(p) for p in written],
-                    "seeds": list(CANONICAL_SEEDS),
-                    "scenario_seeds": scenario_seeds,
-                },
-                indent=2,
+                {"updated": [str(p) for p in written], "seeds": seeds}, indent=2
             )
         )
         return 0
     drift = check_golden(args.dir)
-    drift += check_scenario_golden(args.dir)
-    print(
-        json.dumps(
-            {
-                "ok": not drift,
-                "seeds": list(CANONICAL_SEEDS),
-                "scenario_seeds": scenario_seeds,
-                "drift": drift,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps({"ok": not drift, "seeds": seeds, "drift": drift}, indent=2))
     return 0 if not drift else 1
 
 
@@ -906,11 +863,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--start-seed", type=int, default=0)
     v.add_argument("--engine", choices=["scalar", "vector"], default="scalar")
     v.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="check the N-shard path for exact equality with the "
-        "single-process path instead of the reference-path oracle",
+        "--family",
+        default="plain",
+        help="workload family: plain, faults (counter-mode SEU schedule), "
+        "drift (live recalibration), thermal (derating) or priority (tiers)",
+    )
+    v.add_argument(
+        "--transport",
+        default="local",
+        help="serving path: local (in process), shard (2 shard processes) "
+        "or net (3 concurrent TCP clients); an unsupported cell exits 2",
     )
     v.add_argument(
         "--policy",
@@ -919,39 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch-formation policy under test (scheduling-order changes "
         "must never alter measurement results)",
     )
-    v.add_argument(
-        "--net",
-        action="store_true",
-        help="check the TCP front-door path for exact equality with the "
-        "in-process path (N concurrent socket clients)",
-    )
-    v.add_argument(
-        "--net-clients",
-        type=int,
-        default=3,
-        help="concurrent TCP client connections for --net",
-    )
-    v.add_argument(
-        "--faults",
-        action="store_true",
-        help="run the mixed faulty/clean oracle instead: counter-mode SEU "
-        "injection replayed request-by-request on the reference path",
-    )
-    v.add_argument(
-        "--scenario",
-        choices=["drift", "thermal", "priority"],
-        default=None,
-        help="check one long-horizon scenario family instead: calibration "
-        "drift with live recalibration, thermal derating, or priority "
-        "tiers — each with its own coverage gate",
-    )
-    v.add_argument(
-        "--fault-rate", type=float, default=0.3, help="first-attempt strike rate"
-    )
-    v.add_argument(
-        "--retry-rate", type=float, default=0.15, help="retry-attempt strike rate"
-    )
-    v.add_argument("--burst", type=int, default=2, help="SEU burst size")
     v.set_defaults(func=_cmd_verifylab_oracle)
 
     v = vsub.add_parser("fuzz", help="scenario fuzzer with shrinking")

@@ -6,8 +6,8 @@ The app layer carries the paper's §4.1 parametrizable calibration stage
 (:mod:`repro.power.model`) — but short oracle workloads never stress
 them.  This package adds the *long-horizon* axes as first-class, seeded
 scenario families, each threaded through the full serving stack and each
-with the verifylab treatment (differential oracle, shrinking, golden
-trace, CI bench):
+with the verifylab treatment (differential oracle family, shrinking,
+golden trace, CI bench):
 
 * :mod:`repro.scenarios.drift` — per-tank calibration drift over
   simulated time with periodic recalibration requests (request kind
@@ -20,26 +20,15 @@ trace, CI bench):
   (alarm readings overtake routine polls, never shed first) with
   per-class latency histograms.
 
-``repro verifylab oracle --scenario drift|thermal|priority`` gates all
-three differentially at both engines.
+``repro verifylab oracle --family drift|thermal|priority`` gates all
+three differentially at both engines (:data:`repro.verifylab.oracle.FAMILIES`
+holds their references and coverage gates).
 """
 
 from repro.scenarios.drift import (
     DriftCorrector,
     DriftScenario,
     generate_drift_scenario,
-)
-from repro.scenarios.golden import (
-    SCENARIO_CANONICAL_SEEDS,
-    check_scenario_golden,
-    write_scenario_golden,
-)
-from repro.scenarios.oracle import (
-    SCENARIO_FAMILIES,
-    ScenarioFamilyCheck,
-    ScenarioOracleReport,
-    run_scenario_oracle,
-    shrink_scenario,
 )
 from repro.scenarios.priority import PriorityScenario, generate_priority_scenario
 from repro.scenarios.thermal import ThermalScenario, generate_thermal_scenario
@@ -48,16 +37,8 @@ __all__ = [
     "DriftCorrector",
     "DriftScenario",
     "PriorityScenario",
-    "SCENARIO_CANONICAL_SEEDS",
-    "SCENARIO_FAMILIES",
-    "ScenarioFamilyCheck",
-    "ScenarioOracleReport",
     "ThermalScenario",
-    "check_scenario_golden",
     "generate_drift_scenario",
     "generate_priority_scenario",
     "generate_thermal_scenario",
-    "run_scenario_oracle",
-    "shrink_scenario",
-    "write_scenario_golden",
 ]

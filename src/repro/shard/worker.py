@@ -78,7 +78,7 @@ def build_service(
         seed=config.seed,
         config=SystemConfig(circuit=config.circuit) if config.circuit is not None else None,
         noise_rms=config.noise_rms,
-        engine=config.engine if config.batched else "scalar",
+        engine=config.engine,
         tracer=tracer,
         on_deliver=on_deliver,
         on_deliver_block=on_deliver_block,

@@ -2,13 +2,15 @@
 
 The paper's central §4.2 claim is an *equivalence* claim — moving the
 measurement software into time-multiplexed hardware modules preserves
-results — and the serving layer (:mod:`repro.serve`) stacks a second one
-on top: batching, caching and fault-retry must not change any answer.
-This package checks both, four ways:
+results — and the serving layer (:mod:`repro.serve`) stacks more on top:
+batching, sharding, the TCP edge, caching and fault-retry must not change
+any answer.  This package checks them five ways:
 
-* :mod:`repro.verifylab.oracle` — differential oracle: seeded scenarios
-  served through the batched fleet path and replayed on the single-system
-  reference path must agree within declared per-field tolerances.
+* :mod:`repro.verifylab.oracle` — the differential oracle: seeded
+  scenarios of each workload family (plain, faults, drift, thermal,
+  priority) served over each transport (in process, sharded, TCP) and
+  replayed on the single-system reference path must agree exactly, with
+  a per-family coverage gate.
 * :mod:`repro.verifylab.fuzz` — deterministic scenario fuzzer (geometry,
   trajectories, noise, interleaving, batch size) with greedy shrinking to
   a minimal failing reproducer.
@@ -16,14 +18,17 @@ This package checks both, four ways:
   strike-rate sweeps over the reconfigure/scrub/retry path, reporting
   recovery rate, retries consumed and post-recovery result integrity.
 * :mod:`repro.verifylab.golden` — golden-trace regression: canonical
-  seeds frozen to committed JSON snapshots with a loud diff on drift.
+  seeds of every family frozen to committed JSON snapshots with a loud
+  diff on drift.
 * :mod:`repro.verifylab.chaos` — runtime chaos campaigns: seeded worker
   crashes, executor exceptions and clock skew (:mod:`repro.chaos`) served
   by a supervised fleet, gated on terminal-response recovery rate and
   post-recovery result integrity.
 
-Run from the CLI as ``repro verifylab {oracle,fuzz,campaign,golden}``
-or ``repro chaos`` for the runtime chaos campaign.
+:mod:`repro.verifylab.scenarios` holds the seeded scenario model they
+share.  Run from the CLI as ``repro verifylab {oracle,fuzz,campaign,golden}``
+(``oracle --family F --transport T``) or ``repro chaos`` for the runtime
+chaos campaign.
 """
 
 from repro.verifylab.campaign import (
@@ -43,25 +48,18 @@ from repro.verifylab.golden import (
     write_golden,
 )
 from repro.verifylab.oracle import (
-    FaultOracleReport,
-    FaultReferenceResult,
-    FaultScenarioCheck,
-    OracleReport,
+    FAMILIES,
+    TRANSPORTS,
+    UNSUPPORTED,
+    Check,
     ReferenceExecutor,
     ReferenceResult,
-    ScenarioCheck,
+    Report,
     ToleranceSpec,
-    check_fault_scenario,
+    check_cell,
     check_scenario,
-    run_fault_oracle,
+    integrity,
     run_oracle,
-    serve_scenario,
-)
-from repro.verifylab.net_oracle import (
-    NetScenarioCheck,
-    check_scenario_net,
-    run_net_oracle,
-    serve_scenario_net,
 )
 from repro.verifylab.scenarios import (
     Scenario,
@@ -69,52 +67,37 @@ from repro.verifylab.scenarios import (
     generate_scenario,
     retarget_single_tank,
 )
-from repro.verifylab.shard_oracle import (
-    ShardScenarioCheck,
-    check_scenario_sharded,
-    run_shard_oracle,
-    serve_scenario_sharded,
-)
 
 __all__ = [
     "CANONICAL_SEEDS",
+    "Check",
     "DEFAULT_INTENSITIES",
+    "FAMILIES",
     "FaultIntensity",
-    "FaultOracleReport",
-    "FaultReferenceResult",
-    "FaultScenarioCheck",
     "FuzzFailure",
     "FuzzReport",
-    "NetScenarioCheck",
-    "OracleReport",
     "ReferenceExecutor",
     "ReferenceResult",
+    "Report",
     "Scenario",
-    "ScenarioCheck",
-    "ShardScenarioCheck",
+    "TRANSPORTS",
     "ToleranceSpec",
+    "UNSUPPORTED",
     "build_trace",
     "campaign_scenario",
-    "check_fault_scenario",
+    "check_cell",
     "check_golden",
     "check_scenario",
-    "check_scenario_net",
-    "check_scenario_sharded",
     "default_golden_dir",
     "generate_fault_scenario",
     "generate_scenario",
+    "integrity",
     "retarget_single_tank",
     "run_campaign",
     "run_chaos_campaign",
-    "run_fault_oracle",
     "run_fuzz",
-    "run_net_oracle",
     "run_oracle",
     "run_shard_chaos_campaign",
-    "run_shard_oracle",
-    "serve_scenario",
-    "serve_scenario_net",
-    "serve_scenario_sharded",
     "shrink",
     "write_golden",
     "write_report",

@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.serve.batching import FaultInjector
-from repro.verifylab.oracle import ReferenceExecutor, ToleranceSpec, serve_scenario
+from repro.verifylab.oracle import ReferenceExecutor, integrity, serve_local
 from repro.verifylab.scenarios import Scenario
 
 #: The swept fault-intensity axis: first-attempt strike probability, SEU
@@ -79,49 +79,19 @@ def campaign_scenario(
     )
 
 
-def _run_intensity(
-    intensity: FaultIntensity,
-    scenario: Scenario,
-    reference,
-    tolerances: ToleranceSpec,
-) -> dict:
+def _run_intensity(intensity: FaultIntensity, scenario: Scenario, reference) -> dict:
     injector = FaultInjector(
         rate=intensity.rate,
         seed=scenario.seed,
         burst=intensity.burst,
         retry_rate=intensity.retry_rate,
     )
-    responses = serve_scenario(scenario, fault_injector=injector)
-
-    faulted = recovered = failed = retries = 0
-    checked = matching = 0
-    max_level_dev = max_cap_dev = 0.0
-    mismatches = []
-    for request_id, response in sorted(responses.items()):
-        retries += max(0, response.attempts - 1)
-        was_faulted = response.attempts > 1 or response.status == "failed"
-        if was_faulted:
-            faulted += 1
-        if response.status == "failed":
-            failed += 1
-            continue
-        if was_faulted:
-            recovered += 1
-        # Integrity: every served answer — recovered or untouched — must
-        # still equal the oracle reference.
-        expected = reference[request_id]
-        level_dev = abs(response.level_measured - expected.level)
-        cap_dev = abs(response.capacitance_pf - expected.capacitance_pf)
-        max_level_dev = max(max_level_dev, level_dev)
-        max_cap_dev = max(max_cap_dev, cap_dev)
-        checked += 1
-        if level_dev <= tolerances.level_abs and cap_dev <= tolerances.capacitance_abs_pf:
-            matching += 1
-        else:
-            mismatches.append(
-                f"request {request_id}: level dev {level_dev:.3e}, "
-                f"capacitance dev {cap_dev:.3e}"
-            )
+    delivered, _snapshot = serve_local(
+        scenario, {"fault_injector": injector}, "scalar", "fifo"
+    )
+    faulted = sum(1 for r in delivered if r.attempts > 1 or r.status == "failed")
+    failed = sum(1 for r in delivered if r.status == "failed")
+    recovered = faulted - failed
     return {
         "intensity": intensity.to_dict(),
         "requests": scenario.n_requests,
@@ -129,16 +99,12 @@ def _run_intensity(
         "recovered": recovered,
         "failed": failed,
         "recovery_rate": (recovered / faulted) if faulted else 1.0,
-        "retries_consumed": retries,
+        "retries_consumed": sum(max(0, r.attempts - 1) for r in delivered),
         "faults_injected": injector.fired,
         "seu_bits_flipped": injector.fired * intensity.burst,
-        "integrity": {
-            "checked": checked,
-            "matching": matching,
-            "max_level_deviation": max_level_dev,
-            "max_capacitance_deviation_pf": max_cap_dev,
-            "mismatches": mismatches,
-        },
+        # Every served answer — recovered or untouched — must still equal
+        # the reference replay.
+        "integrity": integrity(delivered, reference),
     }
 
 
@@ -147,7 +113,6 @@ def run_campaign(
     requests: int = 40,
     seed: int = 0,
     max_attempts: int = 3,
-    tolerances: Optional[ToleranceSpec] = None,
 ) -> dict:
     """Sweep the fault intensities over one campaign workload.
 
@@ -158,16 +123,13 @@ def run_campaign(
     """
     if not intensities:
         raise ValueError("campaign needs at least one intensity")
-    tolerances = tolerances or ToleranceSpec()
     scenario = campaign_scenario(requests, seed, max_attempts=max_attempts)
     reference = ReferenceExecutor(scenario).run()
     results = [
-        _run_intensity(intensity, scenario, reference, tolerances)
-        for intensity in intensities
+        _run_intensity(intensity, scenario, reference) for intensity in intensities
     ]
     return {
         "workload": scenario.to_dict(),
-        "tolerances": tolerances.to_dict(),
         "intensities": results,
         "ok": all(
             r["integrity"]["matching"] == r["integrity"]["checked"] for r in results

@@ -36,7 +36,7 @@ from repro.serve.supervisor import SupervisorConfig
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
 from repro.verifylab.campaign import campaign_scenario
-from repro.verifylab.oracle import ReferenceExecutor, ToleranceSpec
+from repro.verifylab.oracle import ReferenceExecutor, integrity
 
 
 def run_chaos_campaign(
@@ -51,7 +51,6 @@ def run_chaos_campaign(
     max_attempts: int = 3,
     max_batch: int = 8,
     timeout_s: float = 120.0,
-    tolerances: Optional[ToleranceSpec] = None,
     supervisor_config: Optional[SupervisorConfig] = None,
 ) -> dict:
     """Serve one campaign workload under runtime chaos; JSON-ready report.
@@ -61,7 +60,6 @@ def run_chaos_campaign(
     matched the oracle reference.  Callers (CLI, the recovery benchmark)
     judge ``terminal_rate`` against their own floor.
     """
-    tolerances = tolerances or ToleranceSpec()
     scenario = campaign_scenario(
         requests, seed, max_attempts=max_attempts, max_batch=max_batch
     )
@@ -101,28 +99,7 @@ def run_chaos_campaign(
     failed = sum(1 for r in responses.values() if r.status == "failed")
     expired = sum(1 for r in responses.values() if r.status == "expired")
 
-    checked = matching = 0
-    max_level_dev = max_cap_dev = 0.0
-    mismatches = []
-    for request_id, response in sorted(responses.items()):
-        if not response.ok:
-            continue
-        expected = reference[request_id]
-        level_dev = abs(response.level_measured - expected.level)
-        cap_dev = abs(response.capacitance_pf - expected.capacitance_pf)
-        max_level_dev = max(max_level_dev, level_dev)
-        max_cap_dev = max(max_cap_dev, cap_dev)
-        checked += 1
-        if (
-            level_dev <= tolerances.level_abs
-            and cap_dev <= tolerances.capacitance_abs_pf
-        ):
-            matching += 1
-        else:
-            mismatches.append(
-                f"request {request_id}: level dev {level_dev:.3e}, "
-                f"capacitance dev {cap_dev:.3e}"
-            )
+    checks = integrity(responses.values(), reference)
 
     counters = snapshot["counters"]
     report = {
@@ -146,17 +123,9 @@ def run_chaos_campaign(
             "requests_shed_early": counters.get("requests_shed_early", 0),
         },
         "supervisor": snapshot.get("supervisor", {}),
-        "integrity": {
-            "checked": checked,
-            "matching": matching,
-            "max_level_deviation": max_level_dev,
-            "max_capacitance_deviation_pf": max_cap_dev,
-            "mismatches": mismatches,
-        },
+        "integrity": checks,
     }
-    report["ok"] = (
-        terminal == admitted and matching == checked and not mismatches
-    )
+    report["ok"] = terminal == admitted and not checks["mismatches"]
     return report
 
 
@@ -167,7 +136,6 @@ def run_shard_chaos_campaign(
     kills: int = 1,
     engine: str = "scalar",
     timeout_s: float = 120.0,
-    tolerances: Optional[ToleranceSpec] = None,
 ) -> dict:
     """SIGKILL shard *processes* mid-run; gate on zero lost requests.
 
@@ -185,7 +153,6 @@ def run_shard_chaos_campaign(
     """
     if kills < 0:
         raise ValueError(f"kills must be >= 0, got {kills}")
-    tolerances = tolerances or ToleranceSpec()
     scenario = campaign_scenario(requests, seed)
     reference = ReferenceExecutor(scenario).run()
     config = ShardConfig(
@@ -227,28 +194,7 @@ def run_shard_chaos_campaign(
     failed = sum(1 for r in responses.values() if r.status == "failed")
     expired = sum(1 for r in responses.values() if r.status == "expired")
 
-    checked = matching = 0
-    max_level_dev = max_cap_dev = 0.0
-    mismatches = []
-    for request_id, response in sorted(responses.items()):
-        if not response.ok:
-            continue
-        expected = reference[request_id]
-        level_dev = abs(response.level_measured - expected.level)
-        cap_dev = abs(response.capacitance_pf - expected.capacitance_pf)
-        max_level_dev = max(max_level_dev, level_dev)
-        max_cap_dev = max(max_cap_dev, cap_dev)
-        checked += 1
-        if (
-            level_dev <= tolerances.level_abs
-            and cap_dev <= tolerances.capacitance_abs_pf
-        ):
-            matching += 1
-        else:
-            mismatches.append(
-                f"request {request_id}: level dev {level_dev:.3e}, "
-                f"capacitance dev {cap_dev:.3e}"
-            )
+    checks = integrity(responses.values(), reference)
 
     router_counters = snapshot["router"]["counters"]
     report = {
@@ -272,18 +218,9 @@ def run_shard_chaos_campaign(
             "shards_abandoned": router_counters.get("shards_abandoned", 0),
         },
         "supervisor": snapshot.get("supervisor", {}),
-        "integrity": {
-            "checked": checked,
-            "matching": matching,
-            "max_level_deviation": max_level_dev,
-            "max_capacitance_deviation_pf": max_cap_dev,
-            "mismatches": mismatches,
-        },
+        "integrity": checks,
     }
     report["ok"] = (
-        terminal == admitted
-        and len(kill_log) == kills
-        and matching == checked
-        and not mismatches
+        terminal == admitted and len(kill_log) == kills and not checks["mismatches"]
     )
     return report

@@ -10,40 +10,20 @@ sweep: re-running the same range reproduces the same failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from repro.verifylab.oracle import ToleranceSpec, check_scenario
-from repro.verifylab.scenarios import Scenario, generate_scenario, retarget_single_tank
-
-#: A predicate deciding whether a scenario (still) fails.
-FailsFn = Callable[[Scenario], bool]
+from repro.verifylab.scenarios import Scenario, generate_scenario
 
 
-def _shrink_candidates(scenario: Scenario) -> List[Scenario]:
-    """Strictly-simpler variants to try, most aggressive first."""
-    candidates: List[Scenario] = []
-    n = scenario.n_requests
-    if n > 1:
-        half = n // 2
-        candidates.append(replace(scenario, tank_levels=scenario.tank_levels[:half]))
-        candidates.append(replace(scenario, tank_levels=scenario.tank_levels[half:]))
-        for i in range(n):
-            kept = scenario.tank_levels[:i] + scenario.tank_levels[i + 1 :]
-            candidates.append(replace(scenario, tank_levels=kept))
-    if len(scenario.tank_ids) > 1:
-        candidates.append(retarget_single_tank(scenario))
-    if scenario.max_batch > 1:
-        candidates.append(replace(scenario, max_batch=1))
-    if scenario.noise_rms > 0:
-        candidates.append(replace(scenario, noise_rms=0.0))
-    return candidates
-
-
-def shrink(scenario: Scenario, fails: FailsFn, max_steps: int = 200) -> Scenario:
-    """Greedy shrink: repeatedly adopt the first simpler variant that
-    still fails, until none does (a local minimum) or the step budget is
-    spent.  ``fails(scenario)`` must be True on entry.
+def shrink(scenario, fails: Callable[[object], bool], max_steps: int = 200):
+    """Greedy shrink over the scenario's own ``shrink_candidates()`` —
+    any oracle family's scenario: repeatedly adopt the first simpler
+    variant that still fails, until none does (a local minimum) or the
+    step budget is spent.  ``fails(scenario)`` must be True on entry.  An
+    exception raised by ``fails`` on a candidate propagates: a crash while
+    shrinking is a finding, not a pass.
 
     Raises
     ------
@@ -57,7 +37,7 @@ def shrink(scenario: Scenario, fails: FailsFn, max_steps: int = 200) -> Scenario
     progress = True
     while progress and steps < max_steps:
         progress = False
-        for candidate in _shrink_candidates(current):
+        for candidate in current.shrink_candidates():
             steps += 1
             if fails(candidate):
                 current = candidate

@@ -3,30 +3,37 @@
 The oracle and fuzzer check *internal* consistency (two live paths agree);
 golden traces pin the numbers themselves, so a refactor that changes both
 paths in lockstep — the failure mode a differential oracle is blind to —
-still trips a loud diff.  Canonical seeds run through the serving path and
-their responses are snapshotted under ``tests/golden/``; a regression test
-and the ``repro verifylab golden`` CLI compare fresh runs against the
-committed snapshots field by field, with an ``--update`` mode to re-freeze
-after an *intentional* numeric change.
+still trips a loud diff.  Canonical seeds of every oracle family run
+through the in-process serving path and their responses are snapshotted
+under ``tests/golden/``; for the drift family the frozen values are the
+*corrected* levels, so a silent change to the correction law (not just to
+the measurement pipeline) trips the diff too.  A regression test and the
+``repro verifylab golden`` CLI compare fresh runs against the committed
+snapshots field by field, with an ``--update`` mode to re-freeze after an
+*intentional* numeric change.
 
 Traces record only scheduling-independent fields (status, attempts,
-level, capacitance) — batch composition may legally vary with thread
-timing, results may not.  Comparison uses small absolute tolerances so a
-numpy point-release cannot fail CI, while anything a code change could
-plausibly cause still does.
+level, capacitance) — batch composition and tier-reordered delivery order
+may legally vary with thread timing, results may not.  Comparison uses
+small absolute tolerances so a numpy point-release cannot fail CI, while
+anything a code change could plausibly cause still does.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.verifylab.oracle import serve_scenario
-from repro.verifylab.scenarios import generate_scenario
+from repro.verifylab.oracle import FAMILIES, serve_local
 
-#: Seeds whose traces are committed under tests/golden/.
-CANONICAL_SEEDS = (11, 23, 47)
+#: Seeds per family whose traces are committed under tests/golden/.
+CANONICAL_SEEDS: Mapping[str, Sequence[int]] = {
+    "plain": (11, 23, 47),
+    "drift": (7, 19),
+    "thermal": (7, 19),
+    "priority": (7, 19),
+}
 
 #: Float drift allowed before a trace counts as diverged.  The module
 #: behaviours quantize to a fixed-point grid far coarser than cross-
@@ -43,55 +50,66 @@ def default_golden_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "tests" / "golden"
 
 
-def trace_path(directory: Pathish, seed: int) -> Path:
-    return Path(directory) / f"verifylab_seed_{seed:03d}.json"
+def trace_path(directory: Pathish, family: str, seed: int) -> Path:
+    if family == "plain":
+        return Path(directory) / f"verifylab_seed_{seed:03d}.json"
+    return Path(directory) / f"scenario_{family}_seed_{seed:03d}.json"
 
 
-def build_trace(seed: int) -> dict:
-    """Serve the canonical scenario of one seed; JSON-ready trace."""
-    scenario = generate_scenario(seed)
-    responses = serve_scenario(scenario)
+def build_trace(family: str, seed: int) -> dict:
+    """Serve one family's canonical scenario in process; JSON-ready trace.
+
+    Raises
+    ------
+    KeyError
+        On an unknown family name.
+    """
+    spec = FAMILIES[family]
+    scenario = spec.generate(seed)
+    delivered, _snapshot = serve_local(scenario, spec.hooks(scenario), "scalar", "fifo")
     return {
+        "family": family,
         "seed": seed,
         "scenario": scenario.to_dict(),
         "responses": [
             {
-                "request_id": request_id,
+                "request_id": response.request_id,
                 "tank_id": response.tank_id,
                 "status": response.status,
                 "attempts": response.attempts,
                 "level_measured": response.level_measured,
                 "capacitance_pf": response.capacitance_pf,
             }
-            for request_id, response in sorted(responses.items())
+            for response in sorted(delivered, key=lambda r: r.request_id)
         ],
     }
 
 
 def write_golden(
-    directory: Optional[Pathish] = None, seeds: Sequence[int] = CANONICAL_SEEDS
+    directory: Optional[Pathish] = None,
+    seeds: Mapping[str, Sequence[int]] = CANONICAL_SEEDS,
 ) -> List[Path]:
     """(Re)freeze golden traces; returns the written paths."""
     directory = Path(directory) if directory is not None else default_golden_dir()
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for seed in seeds:
-        path = trace_path(directory, seed)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(build_trace(seed), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        written.append(path)
+    for family, family_seeds in seeds.items():
+        for seed in family_seeds:
+            path = trace_path(directory, family, seed)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(build_trace(family, seed), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            written.append(path)
     return written
 
 
-def _diff_response(seed: int, expected: dict, got: dict) -> List[str]:
+def _diff_response(family: str, seed: int, expected: dict, got: dict) -> List[str]:
     drift = []
-    rid = expected["request_id"]
+    where = f"{family} seed {seed} request {expected['request_id']}"
     for name in ("tank_id", "status", "attempts"):
         if expected[name] != got[name]:
             drift.append(
-                f"seed {seed} request {rid} {name}: "
-                f"expected {expected[name]!r}, got {got[name]!r}"
+                f"{where} {name}: expected {expected[name]!r}, got {got[name]!r}"
             )
     for name, tolerance in (
         ("level_measured", LEVEL_TOLERANCE),
@@ -99,12 +117,10 @@ def _diff_response(seed: int, expected: dict, got: dict) -> List[str]:
     ):
         want, have = expected[name], got[name]
         if (want is None) != (have is None):
-            drift.append(
-                f"seed {seed} request {rid} {name}: expected {want!r}, got {have!r}"
-            )
+            drift.append(f"{where} {name}: expected {want!r}, got {have!r}")
         elif want is not None and abs(want - have) > tolerance:
             drift.append(
-                f"seed {seed} request {rid} {name}: |{have!r} - {want!r}| = "
+                f"{where} {name}: |{have!r} - {want!r}| = "
                 f"{abs(want - have):.3e} > tolerance {tolerance:.0e} "
                 f"(intentional change? refresh with `repro verifylab golden --update`)"
             )
@@ -112,7 +128,8 @@ def _diff_response(seed: int, expected: dict, got: dict) -> List[str]:
 
 
 def check_golden(
-    directory: Optional[Pathish] = None, seeds: Optional[Iterable[int]] = None
+    directory: Optional[Pathish] = None,
+    seeds: Mapping[str, Iterable[int]] = CANONICAL_SEEDS,
 ) -> List[str]:
     """Re-run the canonical seeds and diff against the committed traces.
 
@@ -121,27 +138,30 @@ def check_golden(
     """
     directory = Path(directory) if directory is not None else default_golden_dir()
     drift: List[str] = []
-    for seed in seeds if seeds is not None else CANONICAL_SEEDS:
-        path = trace_path(directory, seed)
-        if not path.exists():
-            drift.append(
-                f"seed {seed}: no golden trace at {path} "
-                f"(create it with `repro verifylab golden --update`)"
-            )
-            continue
-        with open(path, "r", encoding="utf-8") as handle:
-            committed = json.load(handle)
-        fresh = build_trace(seed)
-        expected: Dict[int, dict] = {
-            r["request_id"]: r for r in committed.get("responses", [])
-        }
-        got: Dict[int, dict] = {r["request_id"]: r for r in fresh["responses"]}
-        if set(expected) != set(got):
-            drift.append(
-                f"seed {seed}: response set changed "
-                f"(committed {sorted(expected)}, fresh {sorted(got)})"
-            )
-            continue
-        for request_id in sorted(expected):
-            drift.extend(_diff_response(seed, expected[request_id], got[request_id]))
+    for family, family_seeds in seeds.items():
+        for seed in family_seeds:
+            path = trace_path(directory, family, seed)
+            if not path.exists():
+                drift.append(
+                    f"{family} seed {seed}: no golden trace at {path} "
+                    f"(create it with `repro verifylab golden --update`)"
+                )
+                continue
+            with open(path, "r", encoding="utf-8") as handle:
+                committed = json.load(handle)
+            fresh = build_trace(family, seed)
+            expected: Dict[int, dict] = {
+                r["request_id"]: r for r in committed.get("responses", [])
+            }
+            got: Dict[int, dict] = {r["request_id"]: r for r in fresh["responses"]}
+            if set(expected) != set(got):
+                drift.append(
+                    f"{family} seed {seed}: response set changed "
+                    f"(committed {sorted(expected)}, fresh {sorted(got)})"
+                )
+                continue
+            for request_id in sorted(expected):
+                drift.extend(
+                    _diff_response(family, seed, expected[request_id], got[request_id])
+                )
     return drift

@@ -68,6 +68,26 @@ class Scenario:
             for i, (tank_id, level) in enumerate(self.tank_levels)
         ]
 
+    def shrink_candidates(self) -> List["Scenario"]:
+        """Strictly-simpler variants for the greedy shrinker, most
+        aggressive first."""
+        candidates: List[Scenario] = []
+        n = self.n_requests
+        if n > 1:
+            half = n // 2
+            candidates.append(replace(self, tank_levels=self.tank_levels[:half]))
+            candidates.append(replace(self, tank_levels=self.tank_levels[half:]))
+            for i in range(n):
+                kept = self.tank_levels[:i] + self.tank_levels[i + 1 :]
+                candidates.append(replace(self, tank_levels=kept))
+        if len(self.tank_ids) > 1:
+            candidates.append(retarget_single_tank(self))
+        if self.max_batch > 1:
+            candidates.append(replace(self, max_batch=1))
+        if self.noise_rms > 0:
+            candidates.append(replace(self, noise_rms=0.0))
+        return candidates
+
     def to_dict(self) -> dict:
         """JSON-ready description (reports, golden-trace headers)."""
         return {

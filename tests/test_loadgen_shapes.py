@@ -110,11 +110,11 @@ def test_tcp_edge_is_bit_identical_to_in_process():
     """The ISSUE's acceptance gate: N concurrent TCP clients produce
     responses bit-identical to the in-process FleetService for the same
     seeded scenarios."""
-    from repro.verifylab import run_net_oracle
+    from repro.verifylab import run_oracle
 
-    report = run_net_oracle([0, 7], clients=3)
+    report = run_oracle([0, 7], transport="net").to_dict()
     assert report["ok"], report["violations"]
-    assert report["requests_compared"] >= 2
+    assert report["requests_checked"] >= 2
     assert report["seeds_checked"] == 2
 
 

@@ -24,14 +24,10 @@ from repro.app.failsafe import (
 from repro.scenarios import (
     DriftCorrector,
     DriftScenario,
-    check_scenario_golden,
     generate_drift_scenario,
     generate_priority_scenario,
     generate_thermal_scenario,
-    run_scenario_oracle,
-    shrink_scenario,
 )
-from repro.scenarios.oracle import drift_reference
 from repro.serve.batching import STANDARD_PIPELINE
 from repro.serve.requests import (
     KIND_CALIBRATE,
@@ -45,6 +41,8 @@ from repro.serve.requests import (
 from repro.serve.supervisor import AdmissionController
 from repro.serve.thermal import DeratingPolicy, ThermalModel, ThermalParams
 from repro.shard.wire import request_from_wire, request_to_wire
+from repro.verifylab import CANONICAL_SEEDS, check_golden, run_oracle, shrink
+from repro.verifylab.oracle import drift_reference
 
 
 def _request(rid, tank="tank-000", level=0.5, **kw):
@@ -333,7 +331,7 @@ class TestDrift:
             truth = {i: lv for i, (_t, lv, k) in enumerate(scenario.entries)
                      if k == KIND_MEASURE}
             late = [rid for rid in truth if rid > 10]
-            return sum(abs(expected[rid][0] - truth[rid]) for rid in late) / len(late)
+            return sum(abs(expected[rid].level - truth[rid]) for rid in late) / len(late)
 
         # The mid-run recalibration roughly halves the accumulated-drift
         # error over the late window (drift keeps accruing after it, so
@@ -364,21 +362,21 @@ class TestDrift:
 
 class TestScenarioOracle:
     def test_drift_family_exact_with_coverage(self):
-        report = run_scenario_oracle("drift", [3])
+        report = run_oracle([3], family="drift")
         assert report.ok, report.violations
         assert report.checks[0].coverage["recalibrations"] >= 1
         assert report.max_deviation()["level"] == 0.0
         assert report.max_deviation()["capacitance_pf"] == 0.0
 
     def test_thermal_family_exact_with_coverage(self):
-        report = run_scenario_oracle("thermal", [3])
+        report = run_oracle([3], family="thermal")
         assert report.ok, report.violations
         coverage = report.checks[0].coverage
         assert coverage["hottest_c"] > report.checks[0].scenario.derate_at_c
         assert coverage["derate_events"] >= 1
 
     def test_priority_family_exact_with_coverage(self):
-        report = run_scenario_oracle("priority", [3])
+        report = run_oracle([3], family="priority")
         assert report.ok, report.violations
         coverage = report.checks[0].coverage
         assert coverage["overtakes"] >= 1
@@ -386,24 +384,24 @@ class TestScenarioOracle:
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="family"):
-            run_scenario_oracle("voltage", [0])
+            run_oracle([0], family="voltage")
 
     def test_shrink_minimizes_failing_scenario(self):
         scenario = generate_priority_scenario(3)
         assert scenario.n_requests > 4
-        shrunk = shrink_scenario(scenario, lambda s: s.n_requests >= 4)
+        shrunk = shrink(scenario, lambda s: s.n_requests >= 4)
         assert shrunk.n_requests == 4
 
     def test_shrink_rejects_passing_scenario(self):
         scenario = generate_thermal_scenario(3)
         with pytest.raises(ValueError, match="failing"):
-            shrink_scenario(scenario, lambda s: False)
+            shrink(scenario, lambda s: False)
 
     def test_shrink_skips_invalid_candidates(self):
         # drop-one candidates of a 1-entry scenario would be invalid; the
         # drift family's single-tank variants can also break the rate map.
         scenario = generate_drift_scenario(5)
-        shrunk = shrink_scenario(scenario, lambda s: s.n_requests >= 1)
+        shrunk = shrink(scenario, lambda s: s.n_requests >= 1)
         assert shrunk.n_requests == 1
 
     def test_shrink_reports_a_crash_on_a_candidate(self):
@@ -415,8 +413,9 @@ class TestScenarioOracle:
             return True
 
         with pytest.raises(RuntimeError, match="checker crashed"):
-            shrink_scenario(scenario, fails)
+            shrink(scenario, fails)
 
 
 def test_scenario_golden_traces_match():
-    assert check_scenario_golden() == []
+    families = ("drift", "thermal", "priority")
+    assert check_golden(seeds={f: CANONICAL_SEEDS[f] for f in families}) == []

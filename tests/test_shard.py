@@ -7,6 +7,7 @@ kill/restart path, none of which need volume.
 """
 
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -421,11 +422,37 @@ def test_killed_shard_recovers_with_zero_loss():
 
 
 def test_sharded_path_exactly_equals_single_process():
-    from repro.verifylab import check_scenario_sharded, generate_scenario
+    from repro.verifylab import generate_scenario, run_oracle
 
-    check = check_scenario_sharded(generate_scenario(11), shards=2)
-    assert check.compared == check.scenario.n_requests
-    assert check.ok, check.violations
+    report = run_oracle([11], transport="shard")
+    assert report.to_dict()["requests_checked"] == generate_scenario(11).n_requests
+    assert report.ok, report.violations
+
+
+def test_unbatched_shards_keep_the_vector_engine():
+    """Per-request serving is a batch of one on either engine: an
+    unbatched sharded fleet runs (and reports) the engine it was given,
+    with responses byte-identical to the scalar engine's."""
+    served = {}
+    for engine in ("scalar", "vector"):
+        config = ShardConfig(
+            shards=2, workers_per_shard=1, seed=3, batched=False, engine=engine
+        )
+        router = ShardRouter(config).start()
+        try:
+            _serve(router, synthetic_load(12, n_tanks=4, seed=1))
+            snapshot = router.metrics_snapshot()
+            responses = router.responses()
+        finally:
+            assert router.shutdown()
+        assert snapshot["service"]["engine"] == engine
+        served[engine] = {
+            r.request_id: json.dumps(
+                [r.tank_id, r.status, r.attempts, r.level_measured, r.capacitance_pf]
+            )
+            for r in responses
+        }
+    assert served["vector"] == served["scalar"]
 
 
 # ----------------------------------------------------------- failure machinery

@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.verifylab import (
+    FAMILIES,
+    UNSUPPORTED,
     FaultIntensity,
     ToleranceSpec,
     build_trace,
@@ -18,7 +20,6 @@ from repro.verifylab import (
     generate_scenario,
     retarget_single_tank,
     run_campaign,
-    run_fault_oracle,
     run_fuzz,
     run_oracle,
     shrink,
@@ -103,6 +104,50 @@ class TestOracle:
         assert all("capacitance_pf" not in v for v in check.violations)
 
 
+# -------------------------------------------------------------------- matrix
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize(
+        "transport,family", [("shard", "priority"), ("net", "thermal")]
+    )
+    def test_new_cells_are_exact_with_coverage(self, transport, family, engine):
+        report = run_oracle([3], family=family, transport=transport, engine=engine)
+        assert report.ok, report.violations
+        deviations = report.max_deviation()
+        assert deviations["level"] == 0.0
+        assert deviations["capacitance_pf"] == 0.0
+        coverage = report.checks[0].coverage
+        if family == "priority":
+            assert coverage["overtakes"] >= 1
+            assert coverage["alarm_latencies_recorded"] == coverage["alarms"]
+        else:
+            assert coverage["hottest_c"] > report.checks[0].scenario.derate_at_c
+            assert coverage["derate_events"] >= 1
+
+    def test_unsupported_cells_raise_with_their_reason(self, capsys):
+        for (transport, axis), reason in UNSUPPORTED.items():
+            cell = {"family": axis} if axis in FAMILIES else {"policy": axis}
+            with pytest.raises(ValueError) as excinfo:
+                run_oracle([0], transport=transport, **cell)
+            assert reason in str(excinfo.value)
+        rc = cli_main(["verifylab", "oracle", "--family", "drift", "--transport", "net"])
+        assert rc == 2
+        assert UNSUPPORTED[("net", "drift")] in capsys.readouterr().err
+
+    def test_report_names_the_cell_it_ran(self):
+        payload = run_oracle(
+            [0], family="plain", transport="local", engine="vector", policy="energy"
+        ).to_dict()
+        assert (
+            payload["family"],
+            payload["transport"],
+            payload["engine"],
+            payload["policy"],
+        ) == ("plain", "local", "vector", "energy")
+
+
 # -------------------------------------------------------------- fault oracle
 
 
@@ -119,19 +164,19 @@ class TestFaultOracle:
         """The tentpole claim: a batch mixing faulted and clean requests
         is served bit-exactly by *both* engines — faulted requests retried
         in-batch, not scrubbed out to a scalar side path."""
-        report = run_fault_oracle(range(4), engine=engine)
+        report = run_oracle(range(4), family="faults", engine=engine)
         assert report.ok, report.violations
         # The sweep genuinely mixed outcomes, else it proved nothing.
-        assert report.clean_ok > 0
-        assert report.faulted_ok > 0
+        assert sum(c.coverage["clean_ok"] for c in report.checks) > 0
+        assert sum(c.coverage["faulted_ok"] for c in report.checks) > 0
         deviations = report.max_deviation()
         assert deviations["level"] == 0.0
         assert deviations["capacitance_pf"] == 0.0
         assert 0.0 < deviations["dsp_level"] < ToleranceSpec().dsp_level_abs
 
     def test_engines_agree_per_seed(self):
-        scalar = run_fault_oracle(range(3), engine="scalar")
-        vector = run_fault_oracle(range(3), engine="vector")
+        scalar = run_oracle(range(3), family="faults", engine="scalar")
+        vector = run_oracle(range(3), family="faults", engine="vector")
         for s_check, v_check in zip(scalar.checks, vector.checks):
             assert s_check.to_dict() == v_check.to_dict()
 
@@ -141,19 +186,18 @@ class TestFaultOracle:
 
         scenario = retarget_single_tank(generate_scenario(11))
         with pytest.raises(ValueError, match="one request per tank"):
-            ReferenceExecutor(scenario).run_with_faults(
-                FaultInjector(0.3, seed=11)
-            )
+            ReferenceExecutor(scenario).run(FaultInjector(0.3, seed=11))
 
     def test_report_shape(self):
-        report = run_fault_oracle(range(2))
+        report = run_oracle(range(2), family="faults")
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
         assert payload["engine"] == "scalar"
         assert payload["seeds_checked"] == 2
-        assert payload["clean_ok"] + payload["faulted_ok"] + payload[
-            "failed"
-        ] == payload["requests_checked"]
+        outcomes = [seed["coverage"] for seed in payload["per_seed"]]
+        assert sum(
+            o["clean_ok"] + o["faulted_ok"] + o["failed"] for o in outcomes
+        ) == payload["requests_checked"]
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -213,7 +257,7 @@ class TestCampaign:
         assert result["seu_bits_flipped"] == 10
         integrity = result["integrity"]
         assert integrity["matching"] == integrity["checked"] == 5
-        assert integrity["max_level_deviation"] <= ToleranceSpec().level_abs
+        assert integrity["max_level_deviation"] == 0.0
         assert report["ok"]
 
     def test_persistent_faults_exhaust_attempts(self):
@@ -254,24 +298,24 @@ class TestGolden:
         assert drift == []
 
     def test_update_then_check_roundtrip(self, tmp_path):
-        write_golden(tmp_path, seeds=(5,))
-        assert check_golden(tmp_path, seeds=(5,)) == []
+        write_golden(tmp_path, seeds={"plain": (5,)})
+        assert check_golden(tmp_path, seeds={"plain": (5,)}) == []
 
     def test_drift_is_loud(self, tmp_path):
-        (path,) = write_golden(tmp_path, seeds=(5,))
+        (path,) = write_golden(tmp_path, seeds={"plain": (5,)})
         trace = json.loads(path.read_text())
         trace["responses"][0]["level_measured"] += 0.25
         path.write_text(json.dumps(trace))
-        drift = check_golden(tmp_path, seeds=(5,))
+        drift = check_golden(tmp_path, seeds={"plain": (5,)})
         assert len(drift) == 1
         assert "level_measured" in drift[0] and "tolerance" in drift[0]
 
     def test_missing_trace_reported(self, tmp_path):
-        drift = check_golden(tmp_path, seeds=(5,))
+        drift = check_golden(tmp_path, seeds={"plain": (5,)})
         assert len(drift) == 1 and "no golden trace" in drift[0]
 
     def test_trace_shape(self):
-        trace = build_trace(5)
+        trace = build_trace("plain", 5)
         assert trace["seed"] == 5
         assert trace["scenario"]["n_requests"] == len(trace["responses"])
         first = trace["responses"][0]
@@ -301,13 +345,18 @@ class TestCli:
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_fault_oracle_cli_passes(self, capsys, engine):
         rc = cli_main(
-            ["verifylab", "oracle", "--seeds", "2", "--faults", "--engine", engine]
+            [
+                "verifylab", "oracle", "--seeds", "2",
+                "--family", "faults", "--engine", engine,
+            ]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["engine"] == engine
-        assert payload["faulted_ok"] > 0 and payload["clean_ok"] > 0
+        outcomes = [seed["coverage"] for seed in payload["per_seed"]]
+        assert sum(o["faulted_ok"] for o in outcomes) > 0
+        assert sum(o["clean_ok"] for o in outcomes) > 0
 
     def test_campaign_emits_json_and_writes_report(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -328,10 +377,11 @@ class TestCli:
     def test_golden_update_writes_to_dir(self, capsys, tmp_path):
         assert cli_main(["verifylab", "golden", "--update", "--dir", str(tmp_path)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["seeds"]) == 3
-        # Base traces plus one per (scenario family, canonical seed).
-        n_scenario = sum(len(s) for s in payload["scenario_seeds"].values())
-        assert len(payload["updated"]) == 3 + n_scenario
+        assert len(payload["seeds"]["plain"]) == 3
+        # One trace per (family, canonical seed).
+        assert len(payload["updated"]) == sum(
+            len(s) for s in payload["seeds"].values()
+        )
         assert cli_main(["verifylab", "golden", "--dir", str(tmp_path)]) == 0
         capsys.readouterr()
 
