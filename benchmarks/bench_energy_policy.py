@@ -19,11 +19,9 @@ Set ``BENCH_ENERGY_JSON=path`` to also write the table as JSON (the CI
 artifact ``BENCH_energy.json``).
 """
 
-import json
-import os
 import time
 
-from _util import show
+from _util import show, write_json
 
 from repro.kernels import native_status
 from repro.serve import FleetService
@@ -47,7 +45,6 @@ def serve_paced(policy: str, interval_s: float, seed: int) -> dict:
         workers=1,
         max_batch=MAX_BATCH,
         queue_capacity=N_REQUESTS + 16,
-        engine="vector",
         seed=seed,
         window_s=ENERGY_WINDOW_S if policy == "energy" else 0.0,
         policy=policy,
@@ -151,11 +148,7 @@ def test_energy_policy_beats_fifo_on_joules_per_request(benchmark):
         "energy_window_s": ENERGY_WINDOW_S,
         "levels": rows,
     }
-    out = os.environ.get("BENCH_ENERGY_JSON")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    write_json("BENCH_ENERGY_JSON", report)
     benchmark.extra_info.update(
         {
             "savings_slow": rows[0]["savings_fraction"],

@@ -16,10 +16,8 @@ Set ``BENCH_NET_JSON=path`` to also write the per-shape tail-latency
 table as JSON (the CI artifact ``BENCH_net.json``).
 """
 
-import json
-import os
 
-from _util import show
+from _util import show, write_json
 
 from repro.net import NetConfig, NetServer, run_shape
 from repro.serve.pool import FleetService
@@ -136,11 +134,7 @@ def test_net_flash_crowd_tail(benchmark):
         "p99_floor_s": P99_FLOOR_S,
         "shapes": rows,
     }
-    out = os.environ.get("BENCH_NET_JSON")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    write_json("BENCH_NET_JSON", report)
     benchmark.extra_info.update(
         {
             "flash_shed_rate": round(flash["shed_rate"], 4),

@@ -21,11 +21,9 @@ as JSON (the CI artifact ``BENCH_scenarios.json``).
 """
 
 import dataclasses
-import json
-import os
 import time
 
-from _util import show
+from _util import show, write_json
 
 from repro.scenarios import DriftCorrector, generate_drift_scenario
 from repro.scenarios.thermal import generate_thermal_scenario
@@ -305,7 +303,4 @@ def test_scenario_families(benchmark):
         routine_shed_rate=routine["shed_rate"],
     )
 
-    out = os.environ.get("BENCH_SCENARIOS_JSON")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
+    write_json("BENCH_SCENARIOS_JSON", results)

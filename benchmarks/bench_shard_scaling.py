@@ -19,11 +19,10 @@ Set ``BENCH_SHARD_JSON=path`` to also write the scaling table as JSON
 (the CI artifact ``BENCH_shard.json``).
 """
 
-import json
 import os
 import time
 
-from _util import show
+from _util import show, write_json
 
 from repro.kernels import native_status
 from repro.serve.loadgen import synthetic_load
@@ -84,7 +83,6 @@ def serve_sharded(shards: int) -> dict:
         workers_per_shard=1,
         max_batch=MAX_BATCH,
         queue_capacity=N_REQUESTS + 64,
-        engine="vector",
         seed=0,
     )
     router = ShardRouter(config).start()
@@ -171,11 +169,7 @@ def test_shard_scaling(benchmark):
         "speedup_at_4": round(speedup_at_4, 2),
         "scaling": rows,
     }
-    out = os.environ.get("BENCH_SHARD_JSON")
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    write_json("BENCH_SHARD_JSON", report)
     benchmark.extra_info.update(
         {
             "cores": _CORES,

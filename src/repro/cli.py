@@ -173,7 +173,6 @@ def _run_serve_mode(args: argparse.Namespace, batched: bool, tracer=None) -> dic
         batched=batched,
         fault_rate=args.fault_rate,
         seed=args.seed,
-        engine=args.engine,
         tracer=tracer,
         policy=args.policy if batched else "fifo",
         window_s=args.window if batched else 0.0,
@@ -205,7 +204,6 @@ def _run_serve_sharded(args: argparse.Namespace) -> dict:
         batched=True,
         fault_rate=args.fault_rate,
         seed=args.seed,
-        engine=args.engine,
         trace_path=args.trace,
     )
     router = ShardRouter(config).start()
@@ -251,7 +249,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     batched_mode = "sharded" if args.shards else "batched"
     modes = [batched_mode] if args.batched_only else ["per-request", batched_mode]
     header = {
-        "engine": args.engine,
         "policy": args.policy,
         "shards": args.shards,
         "workers": args.workers,
@@ -271,7 +268,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     print(
         f"fleet: {args.tanks} tanks, {args.requests} requests, "
         f"{args.workers} workers, max batch {args.max_batch}, "
-        f"fault rate {args.fault_rate}, engine {args.engine}, "
+        f"fault rate {args.fault_rate}, "
         f"policy {args.policy}, popularity {args.popularity}"
         + (f", {args.shards} shards" if args.shards else "")
     )
@@ -377,7 +374,7 @@ def _cmd_verifylab_oracle(args: argparse.Namespace) -> int:
     from repro.verifylab import check_cell, run_oracle
 
     try:
-        check_cell(args.family, args.transport, args.engine, args.policy)
+        check_cell(args.family, args.transport, args.policy)
     except ValueError as exc:
         print(f"verifylab oracle: {exc}", file=sys.stderr)
         return 2
@@ -385,7 +382,6 @@ def _cmd_verifylab_oracle(args: argparse.Namespace) -> int:
         range(args.start_seed, args.start_seed + args.seeds),
         family=args.family,
         transport=args.transport,
-        engine=args.engine,
         policy=args.policy,
     )
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -398,7 +394,6 @@ def _cmd_verifylab_fuzz(args: argparse.Namespace) -> int:
     report = run_fuzz(
         range(args.start_seed, args.start_seed + args.seeds),
         max_requests=args.max_requests,
-        engine=args.engine,
     )
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
@@ -484,7 +479,6 @@ def _cmd_shard_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         shards=args.shards,
         kills=args.kills,
-        engine=args.engine,
     )
     if args.out:
         write_report(report, args.out)
@@ -574,7 +568,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         queue_capacity=args.queue_capacity,
         seed=args.seed,
-        engine=args.engine,
         policy=args.policy,
         window_s=args.window,
     )
@@ -698,12 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--batched-only", action="store_true")
     p.add_argument(
-        "--engine",
-        choices=["scalar", "vector"],
-        default="scalar",
-        help="execution engine for every mode (vector = fused numpy kernels)",
-    )
-    p.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -761,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument("--queue-capacity", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=["scalar", "vector"], default="scalar")
     p.add_argument("--policy", choices=["fifo", "energy"], default="fifo")
     p.add_argument("--window", type=float, default=0.0, help="batch fill window (s)")
     p.add_argument(
@@ -861,7 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = vsub.add_parser("oracle", help="differential oracle over seeded scenarios")
     v.add_argument("--seeds", type=int, default=25, help="number of scenario seeds")
     v.add_argument("--start-seed", type=int, default=0)
-    v.add_argument("--engine", choices=["scalar", "vector"], default="scalar")
     v.add_argument(
         "--family",
         default="plain",
@@ -887,7 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seeds", type=int, default=50)
     v.add_argument("--start-seed", type=int, default=0)
     v.add_argument("--max-requests", type=int, default=12)
-    v.add_argument("--engine", choices=["scalar", "vector"], default="scalar")
     v.set_defaults(func=_cmd_verifylab_fuzz)
 
     v = vsub.add_parser("campaign", help="SEU fault campaign across intensities")
@@ -935,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=3)
     p.add_argument("--kills", type=int, default=1,
                    help="shard processes to SIGKILL mid-run")
-    p.add_argument("--engine", choices=["scalar", "vector"], default="scalar")
     p.add_argument("--min-terminal", type=float, default=1.0,
                    help="floor on the fraction of admitted requests reaching "
                         "a terminal response (process kills must lose nothing)")

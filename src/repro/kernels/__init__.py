@@ -1,12 +1,13 @@
-"""Vectorized batch execution kernels for the measurement fleet.
+"""Vectorized batch execution kernels: the fleet's only execution path.
 
-The scalar serving path (``engine="scalar"``) runs every request's DSP as
-per-request Python — the software baseline of the paper's 7 ms → 7 µs
-narrative.  This package is the "hardware" side of that analogy for the
-fleet runtime: per pipeline stage, all live requests of a batch are
-processed as arrays through fused kernels, bit-identical to the scalar
-reference so the verifylab oracle gates the speedup at unchanged
-tolerances.
+The per-request module behaviours (:mod:`repro.app.modules`, replayed by
+:class:`repro.verifylab.ReferenceExecutor`) are the software baseline of
+the paper's 7 ms → 7 µs narrative.  This package is the "hardware" side
+of that analogy for the fleet runtime: per pipeline stage, all live
+requests of a batch are processed as arrays through fused kernels,
+bit-identical to that reference, which the verifylab oracle checks with
+``==``.  Without a C compiler (or with ``REPRO_NO_NATIVE_KERNELS=1``) the
+fused converter chain runs as pure Python: same bits, slower.
 
 Modules
 -------

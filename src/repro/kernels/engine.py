@@ -1,13 +1,11 @@
-"""The vector execution engine: one batched kernel call per stage.
+"""The fleet's execution engine: one batched kernel call per stage.
 
-:class:`VectorEngine` is the ``engine="vector"`` implementation behind
-:class:`repro.serve.batching.BatchExecutor`.  It mirrors the scalar
-per-request stage dispatch exactly — same context keys (``cycle``,
-``phasors``, ``c_pf``, ``level``), same session locking discipline, same
-failure modes — but each stage runs as one kernel over the whole batch.
-Results are bit-identical to the scalar engine, so the verifylab oracle
-holds with unchanged tolerances and a fleet can switch engines without a
-recalibration.
+:class:`VectorEngine` runs every pipeline stage of a
+:class:`repro.serve.batching.BatchExecutor` batch.  Each stage runs as
+one kernel over the whole batch, with the session locking discipline and
+failure modes of the per-request module behaviours it replaces; results
+are bit-identical to those behaviours, which the verifylab oracle checks
+with ``==`` against :class:`repro.verifylab.ReferenceExecutor`.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from repro.kernels.dsp_kernels import (
     batch_filter_update,
 )
 from repro.kernels.frontend import batch_sample_cycles
+from repro.serve.respbuf import LaneBuffers
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 
@@ -32,7 +31,7 @@ class VectorEngine:
     """Batched implementation of the four measurement pipeline stages.
 
     Bound to one simulated system (for the circuit, tone and frame
-    configuration the scalar module behaviours bake in) and a kernel
+    configuration the module behaviours bake in) and a kernel
     cache shared fleet-wide by default.
     """
 
@@ -55,24 +54,22 @@ class VectorEngine:
         stage: str,
         requests: List,
         contexts: Dict[int, dict],
-        lanes=None,
+        lanes: LaneBuffers,
     ) -> None:
         """Run one pipeline stage for every request of the batch.
 
         ``requests`` lists the still-runnable requests in batch order;
         ``contexts`` maps request id to the per-request context dict the
-        executor threads through the pipeline.  With ``lanes`` (a
-        :class:`repro.serve.respbuf.LaneBuffers`), the ``capacity`` and
-        ``filter`` stages scatter their results straight into the
-        preallocated per-batch arrays at each request's ``row`` instead
-        of boxing them through per-context Python floats — the zero-copy
-        path the wire encoder reads from.
+        executor threads through the pipeline (``session``, ``row``, and
+        the ``cycle``/``phasors`` intermediates).  The ``capacity`` and
+        ``filter`` stages scatter their results into ``lanes`` at each
+        request's ``row``.
 
         Raises
         ------
         ValueError
             On an unknown stage name, or propagated from the kernels
-            (same failure modes as the scalar stage implementations).
+            (same failure modes as the module behaviours).
         """
         if not requests:
             return
@@ -104,7 +101,7 @@ class VectorEngine:
             count=len(requests),
         )
 
-    def _frontend(self, requests: List, contexts: Dict[int, dict], lanes=None) -> None:
+    def _frontend(self, requests: List, contexts: Dict[int, dict], lanes) -> None:
         entries = [
             (contexts[r.request_id]["session"], r.level) for r in requests
         ]
@@ -112,7 +109,7 @@ class VectorEngine:
         for request, cycle in zip(requests, cycles):
             contexts[request.request_id]["cycle"] = cycle
 
-    def _amp_phase(self, requests: List, contexts: Dict[int, dict], lanes=None) -> None:
+    def _amp_phase(self, requests: List, contexts: Dict[int, dict], lanes) -> None:
         # A homogeneous fleet lands in one group; grouping keeps mixed
         # frame/rate configurations correct rather than assuming.
         groups: Dict[tuple, List] = {}
@@ -127,20 +124,17 @@ class VectorEngine:
             for request, tup in zip(group, phasors):
                 contexts[request.request_id]["phasors"] = tup
 
-    def _capacity(self, requests: List, contexts: Dict[int, dict], lanes=None) -> None:
+    def _capacity(self, requests: List, contexts: Dict[int, dict], lanes) -> None:
         phasors = [contexts[r.request_id]["phasors"] for r in requests]
-        c_pf = batch_capacity(phasors, self.circuit, self.tone_hz)
-        if lanes is not None:
-            lanes.c_pf[self._rows(requests, contexts)] = c_pf
-        else:
-            for request, c in zip(requests, c_pf):
-                contexts[request.request_id]["c_pf"] = float(c)
+        lanes.c_pf[self._rows(requests, contexts)] = batch_capacity(
+            phasors, self.circuit, self.tone_hz
+        )
 
-    def _filter(self, requests: List, contexts: Dict[int, dict], lanes=None) -> None:
+    def _filter(self, requests: List, contexts: Dict[int, dict], lanes) -> None:
         sessions = {}
         for request in requests:
             sessions[request.tank_id] = contexts[request.request_id]["session"]
-        rows = self._rows(requests, contexts) if lanes is not None else None
+        rows = self._rows(requests, contexts)
         # Lock every touched session in a canonical order (no deadlock
         # against a sibling worker locking the same tanks), gather the
         # filter states, run the batched update, scatter them back.
@@ -151,21 +145,10 @@ class VectorEngine:
                 tank_id: session.filter_state
                 for tank_id, session in sessions.items()
             }
-            if rows is not None:
-                c_pf = lanes.c_pf[rows]
-            else:
-                c_pf = np.array(
-                    [contexts[r.request_id]["c_pf"] for r in requests],
-                    dtype=np.float64,
-                )
             keys = [r.tank_id for r in requests]
             levels, new_states = batch_filter_update(
-                c_pf, keys, states, self.circuit, self.filter_alpha
+                lanes.c_pf[rows], keys, states, self.circuit, self.filter_alpha
             )
             for tank_id, session in sessions.items():
                 session.filter_state = new_states[tank_id]
-        if rows is not None:
-            lanes.level[rows] = levels
-        else:
-            for request, level in zip(requests, levels):
-                contexts[request.request_id]["level"] = float(level)
+        lanes.level[rows] = levels

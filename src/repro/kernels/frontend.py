@@ -14,8 +14,8 @@ can be shared and what cannot:
 * The noise draws must replay the scalar path's RNG consumption exactly:
   per request in batch order, measurement channel then reference channel,
   from the owning session's generator, skipped entirely at zero noise —
-  so a scalar and a vector service with the same seeds observe identical
-  noise per tank.
+  so the fleet and the per-request reference replay with the same seeds
+  observe identical noise per tank.
 * The converter chain (anti-alias RC, one-bit modulator, decimator) is a
   chaotic per-sample recursion that cannot be shared or approximated; all
   ``2B`` lanes go through :func:`repro.kernels.native.adc_chain_batch`

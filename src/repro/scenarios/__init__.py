@@ -21,8 +21,8 @@ golden trace, CI bench):
   per-class latency histograms.
 
 ``repro verifylab oracle --family drift|thermal|priority`` gates all
-three differentially at both engines (:data:`repro.verifylab.oracle.FAMILIES`
-holds their references and coverage gates).
+three differentially (:data:`repro.verifylab.oracle.FAMILIES` holds
+their references and coverage gates).
 """
 
 from repro.scenarios.drift import (

@@ -16,10 +16,10 @@ ones the reconfiguration literature points at:
   placed-and-routed slot implementations are pure functions of
   (module, device, slot); an LRU artifact cache shares them across the
   worker pool instead of regenerating them per worker.
-* **Vectorization** (:mod:`repro.kernels`) — with ``engine="vector"``
-  the stage-major executor hands each whole-batch stage to fused numpy
-  batch kernels instead of looping per request; results are
-  bit-identical to the scalar engine.
+* **Vectorization** (:mod:`repro.kernels`) — the stage-major executor
+  hands each whole-batch stage to fused batch kernels instead of looping
+  per request; results are bit-identical to the per-request module
+  behaviours that :class:`repro.verifylab.ReferenceExecutor` replays.
 
 * **Energy-aware scheduling** (:mod:`repro.serve.energy`) — the paper's
   power model priced into batch formation: an :class:`EnergyModel`
@@ -45,7 +45,6 @@ worker pool with per-worker energy accounting and graceful shutdown),
 """
 
 from repro.serve.batching import (
-    ENGINES,
     STANDARD_PIPELINE,
     Batch,
     BatchExecutor,
@@ -105,7 +104,6 @@ __all__ = [
     "DeratingPolicy",
     "DeviceMixPlanner",
     "DevicePlan",
-    "ENGINES",
     "EnergyDecision",
     "EnergyModel",
     "EnergyPolicy",

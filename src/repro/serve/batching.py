@@ -32,7 +32,7 @@ from repro.app.system import MICROBLAZE_CLOCK_MHZ, FpgaReconfigSystem, frontend_
 from repro.power.model import block_dynamic_power_w, clock_tree_power_w, static_power_w
 from repro.serve.faultrng import CounterRng
 from repro.serve.metrics import Metrics
-from repro.serve.respbuf import LaneBuffers, ResponseBlock
+from repro.serve.respbuf import LaneBuffers
 from repro.serve.requests import (
     STATUS_EXPIRED,
     STATUS_FAILED,
@@ -338,10 +338,10 @@ class FaultInjector:
 
     Every draw is a pure function of ``(seed, request_id, attempt)`` via
     :class:`repro.serve.faultrng.CounterRng`: order- and
-    composition-independent, identical between the scalar and vector
-    engines, and *predictable* (see :meth:`predict_stage`), which lets the
-    executor retry faulted requests inside their batch and lets the
-    verifylab oracle replay mixed faulty/clean batches exactly.
+    composition-independent, and *predictable* (see
+    :meth:`predict_stage`), which lets the executor retry faulted
+    requests inside their batch and lets the verifylab oracle replay
+    mixed faulty/clean batches exactly.
     """
 
     def __init__(
@@ -415,8 +415,6 @@ class BatchOutcome:
     reconfigurations: int = 0
     reconfigurations_avoided: int = 0
     faults: int = 0
-    #: Zero-copy response buffers (only when the executor emits blocks).
-    block: Optional[ResponseBlock] = None
     #: Pipeline sweeps executed (>1 when faulted requests retried in-batch).
     sweeps: int = 1
 
@@ -428,9 +426,9 @@ class _AttemptSlot:
     chain its fault schedule predicts; each chain entry becomes one slot
     — one lane of the stage kernels, one context, one row of the batch's
     :class:`LaneBuffers`.  The ``request_id`` property deliberately
-    returns the *slot* id: it is the key both engines use to look up a
-    lane's context, and two attempts of the same request must not share
-    one.  The real request stays reachable via ``request``.
+    returns the *slot* id: it is the key the vector engine uses to look
+    up a lane's context, and two attempts of the same request must not
+    share one.  The real request stays reachable via ``request``.
     """
 
     __slots__ = ("request", "attempt", "fault_stage", "slot_id", "error")
@@ -465,10 +463,6 @@ class _AttemptSlot:
         return self.fault_stage is None or self.fault_stage > stage_index
 
 
-#: Engines a :class:`BatchExecutor` can run a batch through.
-ENGINES: Tuple[str, ...] = ("scalar", "vector")
-
-
 class BatchExecutor:
     """Runs batches on one :class:`repro.app.system.FpgaReconfigSystem`.
 
@@ -476,10 +470,10 @@ class BatchExecutor:
     per batch.  The per-request baseline the benchmarks compare against
     is simply a batch of one (``FleetService(batched=False)``).
 
-    ``engine`` selects how a stage's work is computed: ``"scalar"`` runs
-    each request through the module behaviours one by one (the ground
-    truth), ``"vector"`` runs all runnable requests of the stage through
-    the batched kernels of :mod:`repro.kernels` (bit-identical results).
+    Each stage runs every runnable lane of the batch through one call of
+    the batched kernels (:class:`repro.kernels.engine.VectorEngine`).  The
+    ground truth they are held to is the per-request replay of the
+    module behaviours, :class:`repro.verifylab.ReferenceExecutor`.
 
     Faulted requests retry *inside the batch*: the fault schedule is a
     pure function of ``(seed, request_id, attempt)``, so the executor
@@ -497,34 +491,24 @@ class BatchExecutor:
         metrics: Optional[Metrics] = None,
         slot_index: int = 0,
         clock: Callable[[], float] = time.monotonic,
-        engine: str = "scalar",
         tracer: Optional[Tracer] = None,
-        emit_blocks: bool = False,
     ):
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.system = system
         self.tanks = tanks
         self.fault_injector = fault_injector
-        #: Fill a :class:`ResponseBlock` per batch (zero-copy wire path).
-        self.emit_blocks = emit_blocks
         self.metrics = metrics or Metrics()
         self.slot_index = slot_index
         self.clock = clock
-        self.engine = engine
         self.tracer = tracer or NULL_TRACER
         #: The batch segment currently being executed (tracing only);
         #: the executor is single-threaded per worker, so one slot is
         #: enough for the scrub path to emit into.
         self._seg = None
-        if engine == "vector":
-            # Imported here so the scalar path never touches the kernels
-            # package (and its optional native compile).
-            from repro.kernels.engine import VectorEngine
+        # Imported here: the kernels package builds its cache on
+        # ``repro.serve.cache``, so a module-level import would be a cycle.
+        from repro.kernels.engine import VectorEngine
 
-            self._vector: Optional["VectorEngine"] = VectorEngine(system, tracer=self.tracer)
-        else:
-            self._vector = None
+        self._vector = VectorEngine(system, tracer=self.tracer)
         steps = system._processing_steps()
         #: Simulated duration of each stage's device work, per request
         #: (``_processing_steps`` order: amp_phase, capacity, filter).
@@ -560,37 +544,6 @@ class BatchExecutor:
         return power * self._stage_time_s[stage] * n_requests
 
     # ---------------------------------------------------------------- stages
-
-    def _run_stage(self, stage: str, request: MeasurementRequest, ctx: dict) -> None:
-        """Run one request's share of one pipeline stage.
-
-        Raises
-        ------
-        ValueError
-            On a pipeline stage the executor does not know.
-        """
-        modules = self.system.modules
-        session: TankSession = ctx["session"]
-        if stage == "frontend":
-            with session.lock:
-                ctx["cycle"] = session.frontend.sample_cycle(
-                    request.level, self.system.config.frame_samples
-                )
-        elif stage == "amp_phase":
-            cycle = ctx["cycle"]
-            ctx["phasors"] = modules["amp_phase"].behavior(
-                cycle.meas, cycle.ref, cycle.sample_rate_hz, cycle.tone_hz
-            )
-        elif stage == "capacity":
-            ctx["c_pf"] = modules["capacity"].behavior(*ctx["phasors"])
-        elif stage == "filter":
-            with session.lock:
-                level, session.filter_state = modules["filter"].behavior(
-                    ctx["c_pf"], session.filter_state
-                )
-            ctx["level"] = level
-        else:
-            raise ValueError(f"unknown pipeline stage {stage!r}")
 
     def _inject_and_scrub(self, request: MeasurementRequest) -> str:
         """Flip configuration bits, detect them by readback compare, scrub
@@ -643,8 +596,7 @@ class BatchExecutor:
         stage-major: each module is loaded **once per batch** and runs
         every attempt that reaches its stage, so a retry costs one extra
         kernel lane instead of a broker requeue (backoff delay, straggler
-        batch) or a full pipeline reload.  The fault path stays on
-        whichever engine the batch runs.
+        batch) or a full pipeline reload.
 
         Raises
         ------
@@ -678,10 +630,7 @@ class BatchExecutor:
                 live.append(request)
 
         if not live:  # every request expired — skip all device work
-            outcome = BatchOutcome(batch=batch, responses=responses)
-            if self.emit_blocks:
-                outcome.block = ResponseBlock.from_responses(responses)
-            return outcome
+            return BatchOutcome(batch=batch, responses=responses)
 
         injector = self.fault_injector
         controller = self.system.controller
@@ -724,11 +673,7 @@ class BatchExecutor:
             sweeps = max(sweeps, chain)
         participants = len(slots)
 
-        lanes = LaneBuffers(participants) if self._vector is not None else None
-        block = ResponseBlock(len(batch.requests)) if self.emit_blocks else None
-        if block is not None:
-            for response in responses:  # expired at batch entry
-                block.push(response)
+        lanes = LaneBuffers(participants)
         contexts: Dict[int, dict] = {
             slot.slot_id: {
                 "session": self.tanks.session(slot.tank_id),
@@ -749,7 +694,6 @@ class BatchExecutor:
                 size=batch.size,
                 live=len(live),
                 attempts=participants,
-                engine=self.engine,
                 worker=worker,
             )
             self.tracer.push(seg)
@@ -785,7 +729,6 @@ class BatchExecutor:
                         t0=compute_t0,
                         batch_id=batch.batch_id,
                         stage=stage,
-                        engine=self.engine,
                     )
                 started = time.perf_counter()
                 occupied = 0
@@ -806,11 +749,7 @@ class BatchExecutor:
                     if slot.runs(stage_index):
                         occupied += 1
                         runnable.append(slot)
-                if self._vector is not None:
-                    self._vector.run_stage(stage, runnable, contexts, lanes)
-                else:
-                    for slot in runnable:
-                        self._run_stage(stage, slot, contexts[slot.slot_id])
+                self._vector.run_stage(stage, runnable, contexts, lanes)
                 elapsed = time.perf_counter() - started
                 self.metrics.observe(f"stage_{stage}_s", elapsed)
                 stage_requests[stage] += occupied
@@ -855,7 +794,6 @@ class BatchExecutor:
         end = self.clock()
         for request in live:
             rid = request.request_id
-            ctx = contexts[final_slot[rid].slot_id]
             if rid in exhausted:
                 self.metrics.inc("requests_failed")
                 response = MeasurementResponse(
@@ -885,15 +823,11 @@ class BatchExecutor:
                     error="deadline exceeded between in-batch retry sweeps",
                 )
             else:
-                if lanes is not None:
-                    row = ctx["row"]
-                    lv = lanes.level[row]
-                    c = lanes.c_pf[row]
-                    level = float(lv) if lv == lv else None
-                    c_pf = float(c) if c == c else None
-                else:
-                    level = ctx.get("level")
-                    c_pf = ctx.get("c_pf")
+                row = final_slot[rid].slot_id
+                lv = lanes.level[row]
+                c = lanes.c_pf[row]
+                level = float(lv) if lv == lv else None
+                c_pf = float(c) if c == c else None
                 self.metrics.inc("requests_served")
                 response = MeasurementResponse(
                     request_id=rid,
@@ -910,11 +844,6 @@ class BatchExecutor:
                     batch_size=batch.size,
                 )
             responses.append(response)
-            if block is not None:
-                if response.status == STATUS_OK and lanes is not None:
-                    block.push(response, lanes, ctx["row"])
-                else:
-                    block.push(response)
 
         self.metrics.inc("reconfigurations", reconfigs)
         self.metrics.inc("reconfigurations_avoided", avoided)
@@ -932,7 +861,6 @@ class BatchExecutor:
             reconfigurations=reconfigs,
             reconfigurations_avoided=avoided,
             faults=faults,
-            block=block,
             sweeps=sweeps,
         )
 

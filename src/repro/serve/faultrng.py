@@ -15,7 +15,7 @@ range.  Properties the rest of the system builds on:
 
 * **Order independence** — the schedule of a request's attempt is the
   same whether it is asked first or last, alone or in a batch, by the
-  scalar or the vector engine, inline or after a requeue.
+  serving executor or the reference replay, inline or after a requeue.
 * **Replayability** — a reference executor can *predict* the schedule
   without consuming anything, which is what lets the verifylab oracle
   check mixed faulty/clean batches exactly.

@@ -37,7 +37,6 @@ from repro.serve.batching import (
 )
 from repro.serve.cache import ArtifactCache, CachingBitstreamGenerator
 from repro.serve.metrics import Metrics
-from repro.serve.respbuf import ResponseBlock
 from repro.serve.requests import (
     STATUS_FAILED,
     BrokerFullError,
@@ -60,12 +59,9 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 class FleetWorker(threading.Thread):
     """One serving thread around one simulated FPGA system.
 
-    With ``poll_s=None`` (the default) an idle worker blocks inside the
-    broker's condition variable and wakes only when a request arrives or
-    the broker closes — no spinning.  A positive ``poll_s`` restores the
-    legacy timeout-polling behaviour; every empty poll is counted in the
-    ``worker_idle_wakeups`` metric either way, so the two modes are
-    directly comparable.
+    An idle worker blocks inside the broker's condition variable and
+    wakes only when a request arrives or the broker closes — no spinning;
+    every wakeup without a batch is counted in ``worker_idle_wakeups``.
     """
 
     def __init__(
@@ -74,9 +70,8 @@ class FleetWorker(threading.Thread):
         scheduler: BatchScheduler,
         broker: RequestBroker,
         executor: BatchExecutor,
-        deliver: Callable[..., None],
+        deliver: Callable[[List[MeasurementResponse]], None],
         metrics: Metrics,
-        poll_s: Optional[float] = None,
         breaker: Optional[CircuitBreaker] = None,
         admission: Optional[AdmissionController] = None,
         chaos=None,
@@ -89,7 +84,6 @@ class FleetWorker(threading.Thread):
         self.executor = executor
         self.deliver = deliver
         self.metrics = metrics
-        self.poll_s = poll_s
         self.breaker = breaker
         self.admission = admission
         self.chaos = chaos
@@ -135,7 +129,7 @@ class FleetWorker(threading.Thread):
                     min(0.05, max(0.001, self.breaker.cooldown_remaining_s()))
                 )
                 continue
-            batch = self.scheduler.next_batch(timeout_s=self.poll_s)
+            batch = self.scheduler.next_batch(timeout_s=None)
             if batch is None:
                 self.metrics.inc("worker_idle_wakeups")
                 if self.broker.closed and self.broker.depth == 0:
@@ -168,11 +162,11 @@ class FleetWorker(threading.Thread):
             self.batches_executed += 1
             if self.thermal is not None:
                 # Simulated dissipation only: the junction trajectory (and
-                # any derating it triggers) is host- and engine-independent.
+                # any derating it triggers) is host-independent.
                 self.thermal.on_batch(
                     self.worker_id, outcome.energy_j, outcome.device_time_s
                 )
-            self.deliver(outcome.responses, outcome.block)
+            self.deliver(outcome.responses)
             self.current_batch = None
 
     def _handle_failed_batch(self, batch: Batch, exc: Exception) -> None:
@@ -232,6 +226,11 @@ class FleetService:
     ``batched=False`` turns the service into the naive per-request
     baseline (batch size 1, one slot load per stage per request) that the
     throughput benchmark compares against.
+
+    Every batch runs on the vector kernels (:mod:`repro.kernels`).
+    ``engine`` accepts only ``"vector"`` and any other value raises
+    ``ValueError``; the keyword stays only because the performance
+    benchmark (``benchmarks/perf/workload.py``) passes it.
     """
 
     def __init__(
@@ -250,19 +249,20 @@ class FleetService:
         clock: Callable[[], float] = time.monotonic,
         noise_rms: float = 0.002,
         fault_injector: Optional[FaultInjector] = None,
-        engine: str = "scalar",
+        engine: str = "vector",
         tracer: Optional[Tracer] = None,
         supervise: bool = True,
         supervisor_config: Optional[SupervisorConfig] = None,
         chaos=None,
         on_deliver: Optional[Callable[[List[MeasurementResponse]], None]] = None,
-        on_deliver_block: Optional[Callable[[ResponseBlock], None]] = None,
         policy: str = "fifo",
         corrector: Optional[
             Callable[[MeasurementResponse], MeasurementResponse]
         ] = None,
         thermal=None,
     ):
+        if engine != "vector":
+            raise ValueError(f"engine must be 'vector', got {engine!r}")
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if policy not in ("fifo", "energy"):
@@ -278,23 +278,14 @@ class FleetService:
         #: counted, never propagated — a broken downstream must not look
         #: like a crashed worker.
         self.on_deliver = on_deliver
-        #: Zero-copy push seam: like ``on_deliver`` but receives the
-        #: batch's :class:`ResponseBlock` — the preallocated buffers the
-        #: vector engine wrote results into — so a wire transport can
-        #: serialize without materializing per-request dicts.  Setting it
-        #: makes every executor emit blocks; delivery paths that have no
-        #: block (shed expiries, failed batches) build one on the fly.
-        self.on_deliver_block = on_deliver_block
         #: Optional response rewrite applied at delivery, before recording
-        #: and the push seams above (but not to the zero-copy block — a
-        #: transport that needs corrected values must consume
-        #: ``on_deliver``).  The drift scenarios use it to map each raw
-        #: reading through the tank's live :class:`CalibrationTable`.
+        #: and the push seam above.  The drift scenarios use it to map
+        #: each raw reading through the tank's live
+        #: :class:`CalibrationTable`.
         self.corrector = corrector
         #: Optional :class:`repro.serve.thermal.ThermalGovernor`; bound
         #: after the workers are built, fed by every executed batch.
         self.thermal = thermal
-        self.engine = engine
         self.clock = clock
         self.metrics = Metrics()
         self.tracer = tracer or NULL_TRACER
@@ -364,8 +355,8 @@ class FleetService:
         self._state_lock = threading.Lock()
         #: request_id -> priority tier, set at submit and popped at
         #: delivery: responses stay priority-free (their wire encoding is
-        #: frozen — see ``encode_responses_block``), so the per-class
-        #: latency split lives on the service side.
+        #: frozen — see ``repro.shard.wire.response_to_wire``), so the
+        #: per-class latency split lives on the service side.
         self._priorities: Dict[int, int] = {}
         self._priority_lock = threading.Lock()
         self._started = False
@@ -397,9 +388,7 @@ class FleetService:
             fault_injector=self.fault_injector,
             metrics=self.metrics,
             clock=self.clock,
-            engine=self.engine,
             tracer=self.tracer,
-            emit_blocks=self.on_deliver_block is not None,
         )
         return FleetWorker(
             worker_id,
@@ -532,11 +521,7 @@ class FleetService:
                 rejected.append(request)
         return accepted, rejected
 
-    def _deliver(
-        self,
-        responses: List[MeasurementResponse],
-        block: Optional[ResponseBlock] = None,
-    ) -> None:
+    def _deliver(self, responses: List[MeasurementResponse]) -> None:
         if self.corrector is not None:
             corrected = []
             for response in responses:
@@ -579,13 +564,6 @@ class FleetService:
                 self.on_deliver(responses)
             except Exception:
                 self.metrics.inc("deliver_callback_errors")
-        if self.on_deliver_block is not None:
-            try:
-                self.on_deliver_block(
-                    block if block is not None else ResponseBlock.from_responses(responses)
-                )
-            except Exception:
-                self.metrics.inc("deliver_callback_errors")
 
     def responses(self) -> List[MeasurementResponse]:
         with self._done:
@@ -625,7 +603,6 @@ class FleetService:
         avoided = snap["counters"].get("reconfigurations_avoided", 0)
         snap["service"] = {
             "mode": "batched" if self.batched else "per-request",
-            "engine": self.engine,
             "policy": self.policy,
             "workers": len(self.workers),
             "elapsed_s": elapsed,
@@ -660,10 +637,9 @@ class FleetService:
         if self.thermal is not None:
             snap["thermal"] = self.thermal.snapshot()
         snap["cache"] = self.cache.snapshot()
-        if self.engine == "vector":
-            from repro.kernels.cache import KERNEL_CACHE
+        from repro.kernels.cache import KERNEL_CACHE
 
-            snap["kernel_cache"] = KERNEL_CACHE.snapshot()
+        snap["kernel_cache"] = KERNEL_CACHE.snapshot()
         snap["workers"] = {w.worker_id: w.accounting() for w in self.workers}
         if self.tracer.enabled:
             snap["trace"] = self.tracer.snapshot()

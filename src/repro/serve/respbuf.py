@@ -1,37 +1,21 @@
-"""Preallocated per-batch result buffers for the zero-copy response path.
+"""Preallocated per-batch result lanes of the vector engine.
 
-Two pieces, both owned by one executed batch:
-
-* :class:`LaneBuffers` — dense ``(lanes,)`` float64 arrays the vector
-  engine scatters stage results into (capacitance from the ``capacity``
-  kernel, smoothed level from the ``filter`` kernel).  Lanes are the
-  batch's live-request indices; a lane left untouched (the request
-  faulted out before the stage) stays NaN, which the response builder
-  maps to ``None`` — the vector kernels themselves can never produce a
-  NaN because ``quantize_array`` rejects non-finite input.
-* :class:`ResponseBlock` — a structure-of-arrays of the batch's terminal
-  responses, filled in delivery order.  ``level``/``c_pf`` are
-  preallocated numpy columns (copied lane-to-column without boxing
-  through Python floats); everything else is a plain list column.
-  :func:`repro.shard.wire.encode_responses_block` serializes the block
-  straight to wire bytes — byte-identical to encoding the equivalent
-  per-response dicts, but without materializing any of them.
-
-The block still coexists with the :class:`MeasurementResponse`
-dataclasses the in-process service API returns; it is only built when a
-delivery seam asks for it (``FleetService(on_deliver_block=...)``), so
-purely local fleets pay nothing.
+:class:`LaneBuffers` holds dense ``(lanes,)`` float64 arrays the vector
+engine scatters stage results into (capacitance from the ``capacity``
+kernel, smoothed level from the ``filter`` kernel), one lane per planned
+attempt of the batch.  A lane left untouched (the attempt faulted out
+before the stage) stays NaN, which the executor's response builder maps
+to ``None`` — the vector kernels themselves can never produce a NaN
+because ``quantize_array`` rejects non-finite input.  Responses leave
+the process through the per-response codec
+(:func:`repro.shard.wire.response_to_wire`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
-from repro.serve.requests import MeasurementResponse
-
-__all__ = ["LaneBuffers", "ResponseBlock"]
+__all__ = ["LaneBuffers"]
 
 
 class LaneBuffers:
@@ -42,101 +26,3 @@ class LaneBuffers:
     def __init__(self, lanes: int):
         self.c_pf = np.full(lanes, np.nan, dtype=np.float64)
         self.level = np.full(lanes, np.nan, dtype=np.float64)
-
-
-class ResponseBlock:
-    """Structure-of-arrays of one batch's terminal responses."""
-
-    __slots__ = (
-        "count",
-        "request_id",
-        "tank_id",
-        "status",
-        "level",
-        "c_pf",
-        "energy_j",
-        "device_time_s",
-        "latency_s",
-        "attempts",
-        "worker",
-        "batch_id",
-        "batch_size",
-        "error",
-    )
-
-    def __init__(self, capacity: int):
-        self.count = 0
-        self.request_id: List[int] = []
-        self.tank_id: List[str] = []
-        self.status: List[str] = []
-        #: NaN encodes a null level/capacitance (failed/expired lanes).
-        self.level = np.full(capacity, np.nan, dtype=np.float64)
-        self.c_pf = np.full(capacity, np.nan, dtype=np.float64)
-        self.energy_j: List[float] = []
-        self.device_time_s: List[float] = []
-        self.latency_s: List[float] = []
-        self.attempts: List[int] = []
-        self.worker: List[Optional[int]] = []
-        self.batch_id: List[Optional[int]] = []
-        self.batch_size: List[int] = []
-        self.error: List[str] = []
-
-    def __len__(self) -> int:
-        return self.count
-
-    def _grow(self) -> None:
-        if self.count >= self.level.size:
-            extra = max(8, self.level.size)
-            self.level = np.concatenate(
-                [self.level, np.full(extra, np.nan, dtype=np.float64)]
-            )
-            self.c_pf = np.concatenate(
-                [self.c_pf, np.full(extra, np.nan, dtype=np.float64)]
-            )
-
-    def push(
-        self,
-        response: MeasurementResponse,
-        lanes: Optional[LaneBuffers] = None,
-        row: Optional[int] = None,
-    ) -> None:
-        """Append one terminal response.
-
-        With ``lanes``/``row`` the numeric results are copied directly
-        from the engine's lane buffers (no Python-float boxing); without
-        them they come from the response object (scalar paths,
-        failed-batch delivery, shed expiries).
-        """
-        self._grow()
-        i = self.count
-        if lanes is not None and row is not None:
-            self.level[i] = lanes.level[row]
-            self.c_pf[i] = lanes.c_pf[row]
-        else:
-            if response.level_measured is not None:
-                self.level[i] = response.level_measured
-            if response.capacitance_pf is not None:
-                self.c_pf[i] = response.capacitance_pf
-        self.request_id.append(response.request_id)
-        self.tank_id.append(response.tank_id)
-        self.status.append(response.status)
-        self.energy_j.append(response.energy_j)
-        self.device_time_s.append(response.device_time_s)
-        self.latency_s.append(response.latency_s)
-        self.attempts.append(response.attempts)
-        self.worker.append(response.worker)
-        self.batch_id.append(response.batch_id)
-        self.batch_size.append(response.batch_size)
-        self.error.append(response.error)
-        self.count = i + 1
-
-    @classmethod
-    def from_responses(
-        cls, responses: List[MeasurementResponse]
-    ) -> "ResponseBlock":
-        """Block view of already-built responses (non-executor delivery
-        paths: shed expiries, failed-batch responses, restarts)."""
-        block = cls(len(responses))
-        for response in responses:
-            block.push(response)
-        return block

@@ -39,7 +39,6 @@ class ShardConfig:
     fault_rate: float = 0.0
     seed: int = 0
     noise_rms: float = 0.002
-    engine: str = "scalar"
     #: Measurement circuit shared by every shard (None = model default).
     circuit: Optional[object] = None
     #: Virtual points per shard on the consistent-hash ring.

@@ -606,7 +606,6 @@ class ShardRouter:
         elapsed = max(1e-9, end - start) if start is not None else 0.0
         snap["service"] = {
             "mode": "batched" if self.config.batched else "per-request",
-            "engine": self.config.engine,
             "shards": self.config.shards,
             "workers": self.config.shards * self.config.workers_per_shard,
             "elapsed_s": elapsed,

@@ -237,54 +237,6 @@ def response_to_wire(response: MeasurementResponse) -> dict:
     }
 
 
-def encode_responses_block(block) -> bytes:
-    """Serialize a :class:`repro.serve.respbuf.ResponseBlock` straight to
-    a ``responses`` envelope — byte-identical to ``encode(KIND_RESPONSE,
-    {"responses": [response_to_wire(r) for r in ...]})`` over the
-    equivalent response objects, without materializing any of them.
-
-    The numeric ``level``/``c_pf`` columns are formatted with Python's
-    shortest-round-trip float ``repr`` — exactly what ``json.dumps``
-    emits for a float — so every measurement bit survives the wire, and
-    a NaN column entry (a lane the pipeline never completed; the kernels
-    themselves cannot produce NaN) encodes as ``null`` exactly like the
-    ``None`` field of the equivalent response object.
-    """
-    dumps = json.dumps
-    level = block.level
-    c_pf = block.c_pf
-    parts = []
-    for i in range(block.count):
-        lv = level[i]
-        c = c_pf[i]
-        parts.append(
-            '{"request_id":%s,"tank_id":%s,"status":%s,"level_measured":%s,'
-            '"capacitance_pf":%s,"energy_j":%s,"device_time_s":%s,'
-            '"latency_s":%s,"attempts":%s,"worker":%s,"batch_id":%s,'
-            '"batch_size":%s,"error":%s}'
-            % (
-                dumps(block.request_id[i]),
-                dumps(block.tank_id[i]),
-                dumps(block.status[i]),
-                repr(float(lv)) if lv == lv else "null",
-                repr(float(c)) if c == c else "null",
-                dumps(block.energy_j[i]),
-                dumps(block.device_time_s[i]),
-                dumps(block.latency_s[i]),
-                dumps(block.attempts[i]),
-                dumps(block.worker[i]),
-                dumps(block.batch_id[i]),
-                dumps(block.batch_size[i]),
-                dumps(block.error[i]),
-            )
-        )
-    body = (
-        '{"v":%d,"kind":"%s","payload":{"responses":[%s]}}'
-        % (WIRE_VERSION, KIND_RESPONSE, ",".join(parts))
-    )
-    return body.encode("utf-8")
-
-
 def response_from_wire(data: dict) -> MeasurementResponse:
     """Rebuild a response from its wire dict.
 

@@ -19,12 +19,11 @@ serves the router's wire protocol over one duplex
   the final snapshot, exit.
 
 Terminal responses flow back asynchronously: the service's
-``on_deliver_block`` seam encodes each delivered batch's
-:class:`repro.serve.respbuf.ResponseBlock` as one ``responses`` message
-— straight from the preallocated result buffers, no per-request dicts,
-byte-identical to the per-response encoding it replaced.  All sends
-share one lock — worker threads and the control loop interleave on a
-single connection.
+``on_deliver`` seam encodes each delivered batch as one ``responses``
+message with the per-response codec
+(:func:`repro.shard.wire.response_to_wire`), after the service's
+delivery-time ``corrector`` has run.  All sends share one lock — worker
+threads and the control loop interleave on a single connection.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from repro.shard.wire import (
     KIND_PING,
     KIND_PONG,
     KIND_REJECT,
+    KIND_RESPONSE,
     KIND_RESTORE,
     KIND_SHUTDOWN,
     KIND_SNAPSHOT,
@@ -49,8 +49,8 @@ from repro.shard.wire import (
     WireError,
     decode,
     encode,
-    encode_responses_block,
     request_from_wire,
+    response_to_wire,
 )
 
 
@@ -59,7 +59,6 @@ def build_service(
     config: ShardConfig,
     on_deliver=None,
     tracer=None,
-    on_deliver_block=None,
 ) -> FleetService:
     """The per-shard fleet service.
 
@@ -78,10 +77,8 @@ def build_service(
         seed=config.seed,
         config=SystemConfig(circuit=config.circuit) if config.circuit is not None else None,
         noise_rms=config.noise_rms,
-        engine=config.engine,
         tracer=tracer,
         on_deliver=on_deliver,
-        on_deliver_block=on_deliver_block,
     )
 
 
@@ -104,15 +101,10 @@ def shard_main(shard_id: int, conn, router_conn, config: ShardConfig) -> None:
         with send_lock:
             conn.send_bytes(data)
 
-    def deliver_block(block) -> None:
-        # Zero-copy: the block's columns (the arrays the vector engine
-        # wrote into) are encoded straight to envelope bytes — no
-        # per-request dict, byte-identical to the per-response encoding.
+    def deliver(responses) -> None:
         # Raised errors are swallowed (and counted) by the service's
         # delivery guard; a dead pipe ends the control loop via EOF.
-        data = encode_responses_block(block)
-        with send_lock:
-            conn.send_bytes(data)
+        send(KIND_RESPONSE, {"responses": [response_to_wire(r) for r in responses]})
 
     tracer = None
     if config.trace_path:
@@ -124,9 +116,7 @@ def shard_main(shard_id: int, conn, router_conn, config: ShardConfig) -> None:
                 exporter=JsonlExporter(f"{config.trace_path}.shard{shard_id}.jsonl"),
             )
         )
-    service = build_service(
-        shard_id, config, tracer=tracer, on_deliver_block=deliver_block
-    )
+    service = build_service(shard_id, config, on_deliver=deliver, tracer=tracer)
     service.start()
     send(KIND_HELLO, {"shard": shard_id, "pid": os.getpid()})
 

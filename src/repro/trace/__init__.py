@@ -6,7 +6,7 @@ post-PAR VCD activity tells the flow which nets burn the power budget
 running the fabric at a lower clock.  This package gives the serving
 runtime the same kind of evidence at request granularity: every request
 carries a :class:`Trace` of timestamped spans — admit, queue, schedule,
-batch assembly, per-stage execution (scalar or vector kernel),
+batch assembly, per-stage execution (vector kernel),
 reconfiguration, SEU scrub, respond — each annotated with wall time,
 simulated device cycles, and per-stage energy from the existing power
 model.

@@ -86,9 +86,7 @@ def _run_intensity(intensity: FaultIntensity, scenario: Scenario, reference) -> 
         burst=intensity.burst,
         retry_rate=intensity.retry_rate,
     )
-    delivered, _snapshot = serve_local(
-        scenario, {"fault_injector": injector}, "scalar", "fifo"
-    )
+    delivered, _snapshot = serve_local(scenario, {"fault_injector": injector}, "fifo")
     faulted = sum(1 for r in delivered if r.attempts > 1 or r.status == "failed")
     failed = sum(1 for r in delivered if r.status == "failed")
     recovered = faulted - failed

@@ -134,7 +134,6 @@ def run_shard_chaos_campaign(
     seed: int = 0,
     shards: int = 3,
     kills: int = 1,
-    engine: str = "scalar",
     timeout_s: float = 120.0,
 ) -> dict:
     """SIGKILL shard *processes* mid-run; gate on zero lost requests.
@@ -163,7 +162,6 @@ def run_shard_chaos_campaign(
         batched=True,
         seed=scenario.seed,
         noise_rms=scenario.noise_rms,
-        engine=engine,
         circuit=scenario.circuit,
         heartbeat_interval_s=0.02,
         max_restarts_per_shard=max(3, kills + 1),
@@ -200,7 +198,6 @@ def run_shard_chaos_campaign(
     report = {
         "workload": scenario.to_dict(),
         "shards": shards,
-        "engine": engine,
         "kills": kill_log,
         "admitted": admitted,
         "rejected": len(rejected),

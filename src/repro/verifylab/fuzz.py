@@ -89,19 +89,16 @@ def run_fuzz(
     seeds: Iterable[int],
     tolerances: Optional[ToleranceSpec] = None,
     max_requests: int = 12,
-    engine: str = "scalar",
 ) -> FuzzReport:
     """Fuzz a seed range through the oracle, shrinking every failure.
 
-    With ``engine="vector"`` every scenario is served through the
-    vectorized batch engine and diffed against the scalar reference
-    replay — the randomized scalar-vs-vector equivalence harness — and
-    shrinking runs under the same engine, so a reproducer stays a
-    reproducer."""
+    Every scenario is served through the fleet's batch kernels and
+    diffed against the per-request reference replay; shrinking re-serves
+    each candidate the same way, so a reproducer stays a reproducer."""
     tolerances = tolerances or ToleranceSpec()
 
     def violations_of(scenario: Scenario) -> List[str]:
-        return check_scenario(scenario, tolerances=tolerances, engine=engine).violations
+        return check_scenario(scenario, tolerances=tolerances).violations
 
     report = FuzzReport()
     for seed in seeds:

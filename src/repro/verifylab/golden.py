@@ -66,7 +66,7 @@ def build_trace(family: str, seed: int) -> dict:
     """
     spec = FAMILIES[family]
     scenario = spec.generate(seed)
-    delivered, _snapshot = serve_local(scenario, spec.hooks(scenario), "scalar", "fifo")
+    delivered, _snapshot = serve_local(scenario, spec.hooks(scenario), "fifo")
     return {
         "family": family,
         "seed": seed,

@@ -67,7 +67,6 @@ FAULT_RATE = 0.3
 FAULT_RETRY_RATE = 0.15
 FAULT_BURST = 2
 
-ENGINES = ("scalar", "vector")
 POLICIES = ("fifo", "energy")
 
 #: Bitstream/slot artifacts depend only on (module, device, region) — they
@@ -138,9 +137,9 @@ class ReferenceExecutor:
         faulted pipeline stage; without an injector no attempt faults.  A
         fault at stage 0 strikes before the front end samples, so no noise
         is drawn; a fault at a later stage discards one sampled cycle —
-        exactly what the serving path does whichever engine runs it and
-        however sweeps interleave.  Under an injector the scenario must
-        place at most one request on each tank (see
+        exactly what the serving path does however sweeps interleave.
+        Under an injector the scenario must place at most one request on
+        each tank (see
         :func:`repro.verifylab.scenarios.generate_fault_scenario`): only
         then is each tank's noise stream consumed by a single request in
         attempt order, making the replay exact.
@@ -221,7 +220,7 @@ class ReferenceExecutor:
 Served = Tuple[List[MeasurementResponse], dict]
 
 
-def _fleet(scenario, hooks: dict, engine: str, policy: str) -> FleetService:
+def _fleet(scenario, hooks: dict, policy: str) -> FleetService:
     """The oracle's one-worker fleet for ``scenario``."""
     batched = getattr(scenario, "batched", True)
     return FleetService(
@@ -233,14 +232,13 @@ def _fleet(scenario, hooks: dict, engine: str, policy: str) -> FleetService:
         config=SystemConfig(circuit=scenario.circuit),
         cache=_shared_cache,
         noise_rms=scenario.noise_rms,
-        engine=engine,
         policy=policy if batched else "fifo",
         **hooks,
     )
 
 
 def serve_local(
-    scenario, hooks: dict, engine: str, policy: str, timeout_s: float = 180.0
+    scenario, hooks: dict, policy: str, timeout_s: float = 180.0
 ) -> Served:
     """Serve in process: requests pre-submitted before the pool starts.
 
@@ -252,7 +250,7 @@ def serve_local(
     RuntimeError
         On rejected submissions or an unanswered request at timeout.
     """
-    service = _fleet(scenario, hooks, engine, policy)
+    service = _fleet(scenario, hooks, policy)
     accepted, rejected = service.submit_many(scenario.requests())
     if rejected:
         raise RuntimeError(f"scenario seed {scenario.seed}: {len(rejected)} rejected")
@@ -267,7 +265,7 @@ def serve_local(
 
 
 def serve_shard(
-    scenario, hooks: dict, engine: str, policy: str, timeout_s: float = 180.0
+    scenario, hooks: dict, policy: str, timeout_s: float = 180.0
 ) -> Served:
     """Serve through a :data:`SHARDS`-process :class:`ShardRouter`.
 
@@ -294,7 +292,6 @@ def serve_shard(
         batched=getattr(scenario, "batched", True),
         seed=scenario.seed,
         noise_rms=scenario.noise_rms,
-        engine=engine,
         circuit=scenario.circuit,
     )
     router = ShardRouter(config).start()
@@ -316,7 +313,7 @@ def serve_shard(
 
 
 def serve_net(
-    scenario, hooks: dict, engine: str, policy: str, timeout_s: float = 180.0
+    scenario, hooks: dict, policy: str, timeout_s: float = 180.0
 ) -> Served:
     """Serve through the TCP front door over :data:`NET_CLIENTS`
     concurrent connections, partitioned by tank.
@@ -332,7 +329,7 @@ def serve_net(
         On rejected/undelivered submissions or a timeout.
     """
     requests = scenario.requests()
-    service = _fleet(scenario, hooks, engine, policy)
+    service = _fleet(scenario, hooks, policy)
     service.start()
     server = NetServer(service, NetConfig(max_inflight=len(requests) + 16)).start()
     tanks = sorted({r.tank_id for r in requests})
@@ -660,9 +657,9 @@ UNSUPPORTED: Dict[Tuple[str, str], str] = {
 }
 
 
-def check_cell(family: str, transport: str, engine: str, policy: str) -> None:
-    """Reject an unknown or unsupported (transport, family, engine,
-    policy) cell before anything is served.
+def check_cell(family: str, transport: str, policy: str) -> None:
+    """Reject an unknown or unsupported (transport, family, policy) cell
+    before anything is served.
 
     Raises
     ------
@@ -672,7 +669,6 @@ def check_cell(family: str, transport: str, engine: str, policy: str) -> None:
     for name, value, known in (
         ("family", family, FAMILIES),
         ("transport", transport, TRANSPORTS),
-        ("engine", engine, ENGINES),
         ("policy", policy, POLICIES),
     ):
         if value not in known:
@@ -785,7 +781,6 @@ def check_scenario(
     scenario,
     family: str = "plain",
     transport: str = "local",
-    engine: str = "scalar",
     policy: str = "fifo",
     tolerances: Optional[ToleranceSpec] = None,
 ) -> Check:
@@ -795,7 +790,7 @@ def check_scenario(
     spec = FAMILIES[family]
     hooks = spec.hooks(scenario)
     reference = spec.reference(scenario)
-    delivered, snapshot = TRANSPORTS[transport](scenario, hooks, engine, policy)
+    delivered, snapshot = TRANSPORTS[transport](scenario, hooks, policy)
     check = Check(
         scenario,
         deviations={name: 0.0 for name in spec.fields},
@@ -819,7 +814,6 @@ class Report:
 
     family: str
     transport: str
-    engine: str
     policy: str
     tolerances: ToleranceSpec
     checks: List[Check] = field(default_factory=list)
@@ -847,7 +841,6 @@ class Report:
             "ok": self.ok,
             "family": self.family,
             "transport": self.transport,
-            "engine": self.engine,
             "policy": self.policy,
             "seeds_checked": len(self.checks),
             "requests_checked": sum(c.scenario.n_requests for c in self.checks),
@@ -862,7 +855,6 @@ def run_oracle(
     seeds: Iterable[int],
     family: str = "plain",
     transport: str = "local",
-    engine: str = "scalar",
     policy: str = "fifo",
     tolerances: Optional[ToleranceSpec] = None,
 ) -> Report:
@@ -874,9 +866,9 @@ def run_oracle(
     ValueError
         On an unknown or :data:`UNSUPPORTED` cell (see :func:`check_cell`).
     """
-    check_cell(family, transport, engine, policy)
+    check_cell(family, transport, policy)
     tolerances = tolerances or ToleranceSpec()
-    report = Report(family, transport, engine, policy, tolerances)
+    report = Report(family, transport, policy, tolerances)
     generate = FAMILIES[family].generate
     for seed in seeds:
         report.checks.append(
@@ -884,7 +876,6 @@ def run_oracle(
                 generate(seed),
                 family=family,
                 transport=transport,
-                engine=engine,
                 policy=policy,
                 tolerances=tolerances,
             )

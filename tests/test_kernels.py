@@ -1,13 +1,12 @@
-"""Tests of the vectorized batch kernels (repro.kernels) and the
-``engine="vector"`` serving path.
+"""Tests of the vectorized batch kernels (repro.kernels) and the fleet
+serving path they run.
 
 The contract under test is strict: every kernel must be *bit-identical*
-to the scalar path it replaces, not merely close — the verifylab oracle
-compares the two engines at tolerance 1e-9 and the fixed-point
-quantization would surface any last-ulp drift.
+to the per-request module behaviour it replaces, not merely close — the
+verifylab oracle compares the fleet with the reference replay using
+``==``, and the fixed-point quantization would surface any last-ulp
+drift.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -28,9 +27,11 @@ from repro.kernels import (
 from repro.kernels.cache import ArtifactCache
 from repro.kernels.dsp_kernels import goertzel_fast_path
 from repro.kernels.native import DISABLE_ENV, _adc_chain_python, native_available
-from repro.serve import ENGINES, FleetService, synthetic_load
-from repro.serve.batching import BatchExecutor, FaultInjector, TankStateStore
-from repro.shard.wire import response_to_wire
+from repro.app.system import SystemConfig
+from repro.serve import FleetService, synthetic_load
+from repro.serve.batching import FaultInjector, TankStateStore
+from repro.verifylab import ReferenceExecutor
+from repro.verifylab.scenarios import Scenario
 
 CIRCUIT = MeasurementCircuit()
 TONE = 500_000.0
@@ -390,76 +391,79 @@ def by_id(service):
     return {r.request_id: r for r in service.responses()}
 
 
-def test_vector_engine_equals_scalar_engine():
-    """The whole point: same seeds, same answers, to the bit."""
-    scalar = run_service(
-        synthetic_load(10, n_tanks=3), workers=1, max_batch=8, seed=7
-    )
-    vector = run_service(
-        synthetic_load(10, n_tanks=3),
+def serve_and_replay(scenario, **kwargs):
+    """Serve ``scenario`` on a one-worker fleet and replay it on the
+    per-request reference path (module behaviours, same sessions)."""
+    service = run_service(
+        scenario.requests(),
         workers=1,
-        max_batch=8,
-        seed=7,
-        engine="vector",
+        max_batch=scenario.max_batch,
+        batched=scenario.batched,
+        seed=scenario.seed,
+        noise_rms=scenario.noise_rms,
+        config=SystemConfig(circuit=scenario.circuit),
+        **kwargs,
     )
-    s, v = by_id(scalar), by_id(vector)
-    assert set(s) == set(v)
-    for request_id in s:
-        assert s[request_id].ok and v[request_id].ok
-        assert v[request_id].level_measured == s[request_id].level_measured
-        assert v[request_id].capacitance_pf == s[request_id].capacitance_pf
+    reference = ReferenceExecutor(scenario).run(kwargs.get("fault_injector"))
+    return service, reference
+
+
+def assert_matches_reference(service, reference):
+    served = by_id(service)
+    assert set(served) == set(reference)
+    for request_id, want in reference.items():
+        have = served[request_id]
+        assert (have.status, have.attempts) == (want.status, want.attempts)
+        assert have.level_measured == want.level
+        assert have.capacitance_pf == want.capacitance_pf
+
+
+def test_batched_fleet_equals_reference_replay():
+    """The whole point: same seeds, same answers as the per-request
+    module behaviours, to the bit."""
+    scenario = Scenario(
+        seed=7,
+        tank_levels=tuple((f"t{i % 3}", 0.1 + 0.08 * i) for i in range(10)),
+    )
+    service, reference = serve_and_replay(scenario)
+    assert all(r.ok for r in service.responses())
+    assert max(r.batch_size for r in service.responses()) > 1
+    assert_matches_reference(service, reference)
 
 
 def test_per_request_mode_runs_the_vector_engine_bit_exactly():
-    """Per-request serving is a batch of one, so the vector engine serves
-    it with responses identical to the scalar engine's."""
-    results = {
-        engine: run_service(
-            synthetic_load(6, n_tanks=2),
-            workers=1,
-            batched=False,
-            seed=7,
-            engine=engine,
-        )
-        for engine in ENGINES
-    }
-    s, v = by_id(results["scalar"]), by_id(results["vector"])
-    assert set(s) == set(v) and len(s) == 6
-    for request_id in s:
-        assert v[request_id].ok and v[request_id].batch_size == 1
-        scalar_wire, vector_wire = (
-            response_to_wire(r) for r in (s[request_id], v[request_id])
-        )
-        del scalar_wire["latency_s"], vector_wire["latency_s"]  # wall clock
-        assert json.dumps(vector_wire) == json.dumps(scalar_wire)
+    """Per-request serving is a batch of one on the same kernels, with
+    responses identical to the reference replay."""
+    scenario = Scenario(
+        seed=7,
+        tank_levels=tuple((f"t{i % 2}", 0.2 + 0.1 * i) for i in range(6)),
+        batched=False,
+    )
+    service, reference = serve_and_replay(scenario)
+    assert {r.batch_size for r in service.responses()} == {1}
+    assert_matches_reference(service, reference)
 
 
 def test_engine_validation():
-    service = FleetService(workers=1)
-    executor = service.workers[0].executor
-    with pytest.raises(ValueError, match="engine must be one of"):
-        BatchExecutor(executor.system, service.tanks, engine="simd")
-    with pytest.raises(ValueError, match="engine must be one of"):
-        FleetService(workers=1, engine="simd")
+    """The fleet has one engine; the ``engine`` keyword accepts only it."""
+    for engine in ("scalar", "simd"):
+        with pytest.raises(ValueError, match="engine must be 'vector'"):
+            FleetService(workers=1, engine=engine)
+    assert FleetService(workers=1, engine="vector").workers
 
 
 def test_snapshot_reports_engine_stage_times_and_kernel_cache():
-    service = run_service(
-        synthetic_load(6, n_tanks=2), workers=1, max_batch=4, engine="vector"
-    )
-    snap = service.metrics_snapshot()
-    assert snap["service"]["engine"] == "vector"
-    assert "kernel_cache" in snap
-    for stage in ("frontend", "amp_phase", "capacity", "filter"):
-        hist = snap["histograms"][f"stage_{stage}_s"]
-        assert hist["count"] > 0
-        assert hist["p50"] >= 0.0
-
-    scalar = run_service(synthetic_load(4, n_tanks=2), workers=1, max_batch=4)
-    snap = scalar.metrics_snapshot()
-    assert snap["service"]["engine"] == "scalar"
-    assert "kernel_cache" not in snap
-    assert snap["histograms"]["stage_frontend_s"]["count"] > 0
+    for batched in (True, False):
+        service = run_service(
+            synthetic_load(6, n_tanks=2), workers=1, max_batch=4, batched=batched
+        )
+        snap = service.metrics_snapshot()
+        assert "engine" not in snap["service"]
+        assert "kernel_cache" in snap
+        for stage in ("frontend", "amp_phase", "capacity", "filter"):
+            hist = snap["histograms"][f"stage_{stage}_s"]
+            assert hist["count"] > 0
+            assert hist["p50"] >= 0.0
 
 
 def test_per_request_mode_also_times_stages():
@@ -471,38 +475,25 @@ def test_per_request_mode_also_times_stages():
         assert snap["histograms"][f"stage_{stage}_s"]["count"] > 0
 
 
-def test_counter_mode_sweeps_keep_engines_identical():
-    """Counter-mode injection keeps faulted requests *in* the batch: both
-    engines retry via vectorizable sweeps, produce bit-identical results,
-    and never touch the broker's requeue path."""
-    results = {}
-    for engine in ENGINES:
-        results[engine] = run_service(
-            synthetic_load(12, n_tanks=3),
-            workers=1,
-            max_batch=6,
-            seed=9,
-            engine=engine,
-            fault_injector=FaultInjector(
-                0.4, seed=3, retry_rate=0.2
-            ),
-        )
-    s, v = by_id(results["scalar"]), by_id(results["vector"])
-    assert set(s) == set(v)
-    for request_id in s:
-        assert v[request_id].status == s[request_id].status
-        assert v[request_id].attempts == s[request_id].attempts
-        assert v[request_id].level_measured == s[request_id].level_measured
-        assert v[request_id].capacitance_pf == s[request_id].capacitance_pf
-    for service in results.values():
-        # Every retry happened inside its batch — none via the broker.
-        assert service.metrics.counter("retries_in_batch") > 0
-        assert service.metrics.counter("retries_in_batch") == service.metrics.counter(
-            "requests_retried"
-        )
-    assert results["vector"].metrics.counter("faults_injected") == results[
-        "scalar"
-    ].metrics.counter("faults_injected")
+def test_counter_mode_sweeps_match_the_reference():
+    """Counter-mode injection keeps faulted requests *in* the batch: they
+    retry as extra kernel lanes, match the reference replay of the same
+    fault schedule, and never touch the broker's requeue path."""
+    scenario = Scenario(
+        seed=9,
+        tank_levels=tuple((f"t{i:02d}", 0.05 + 0.07 * i) for i in range(12)),
+        max_batch=6,
+    )
+    service, reference = serve_and_replay(
+        scenario, fault_injector=FaultInjector(0.4, seed=3, retry_rate=0.2)
+    )
+    assert_matches_reference(service, reference)
+    assert any(r.attempts > 1 for r in reference.values())
+    # Every retry happened inside its batch — none via the broker.
+    assert service.metrics.counter("retries_in_batch") > 0
+    assert service.metrics.counter("retries_in_batch") == service.metrics.counter(
+        "requests_retried"
+    )
 
 
 def test_blocking_workers_do_not_spin():

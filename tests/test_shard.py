@@ -7,7 +7,6 @@ kill/restart path, none of which need volume.
 """
 
 import io
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -430,29 +429,19 @@ def test_sharded_path_exactly_equals_single_process():
 
 
 def test_unbatched_shards_keep_the_vector_engine():
-    """Per-request serving is a batch of one on either engine: an
-    unbatched sharded fleet runs (and reports) the engine it was given,
-    with responses byte-identical to the scalar engine's."""
-    served = {}
-    for engine in ("scalar", "vector"):
-        config = ShardConfig(
-            shards=2, workers_per_shard=1, seed=3, batched=False, engine=engine
-        )
-        router = ShardRouter(config).start()
-        try:
-            _serve(router, synthetic_load(12, n_tanks=4, seed=1))
-            snapshot = router.metrics_snapshot()
-            responses = router.responses()
-        finally:
-            assert router.shutdown()
-        assert snapshot["service"]["engine"] == engine
-        served[engine] = {
-            r.request_id: json.dumps(
-                [r.tank_id, r.status, r.attempts, r.level_measured, r.capacitance_pf]
-            )
-            for r in responses
-        }
-    assert served["vector"] == served["scalar"]
+    """Per-request serving is a batch of one on the fleet's kernels: an
+    unbatched sharded fleet answers exactly like the reference replay."""
+    from repro.verifylab import Scenario, check_scenario
+
+    scenario = Scenario(
+        seed=3,
+        tank_levels=tuple((f"t{i % 4}", 0.1 + 0.07 * i) for i in range(12)),
+        batched=False,
+    )
+    check = check_scenario(scenario, transport="shard")
+    assert check.ok, check.violations
+    assert {r.batch_size for r in check.delivered} == {1}
+    assert len(check.delivered) == scenario.n_requests
 
 
 # ----------------------------------------------------------- failure machinery

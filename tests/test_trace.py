@@ -387,26 +387,16 @@ def _run_traced_service(**kwargs):
 
 
 @pytest.fixture(scope="module")
-def traced_scalar():
-    return _run_traced_service(engine="scalar")
+def traced_service():
+    return _run_traced_service()
 
 
 def _stable_structure(trace):
     return [list(pair) for pair in trace.structure() if pair[1] not in _UNSTABLE_SPANS]
 
 
-def test_traced_service_structure_matches_golden_scalar(traced_scalar):
-    by_id, _, _ = traced_scalar
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert {str(i) for i in by_id} == set(golden["scalar"])
-    for request_id, trace in by_id.items():
-        assert _stable_structure(trace) == golden["scalar"][str(request_id)], (
-            f"span structure drifted for request {request_id}"
-        )
-
-
-def test_traced_service_structure_matches_golden_vector():
-    by_id, _, _ = _run_traced_service(engine="vector")
+def test_traced_service_structure_matches_golden_vector(traced_service):
+    by_id, _, _ = traced_service
     golden = json.loads(GOLDEN_PATH.read_text())
     assert {str(i) for i in by_id} == set(golden["vector"])
     for request_id, trace in by_id.items():
@@ -417,8 +407,8 @@ def test_traced_service_structure_matches_golden_vector():
 
 def test_traced_service_structure_matches_golden_energy():
     """The energy policy's span structure — including its
-    ``energy_decision`` span — is frozen the same way the scalar/vector
-    structures are: a schedule change that adds, drops or reorders spans
+    ``energy_decision`` span — is frozen the same way the FIFO structure
+    is: a schedule change that adds, drops or reorders spans
     must be a conscious golden refresh, not an accident."""
     by_id, _, _ = _run_traced_service(policy="energy")
     golden = json.loads(ENERGY_GOLDEN_PATH.read_text())
@@ -453,8 +443,8 @@ def test_energy_decision_span_predicts_the_measured_joules():
         )
 
 
-def test_traced_service_stage_spans_carry_cycles_and_energy(traced_scalar):
-    by_id, _, _ = traced_scalar
+def test_traced_service_stage_spans_carry_cycles_and_energy(traced_service):
+    by_id, _, _ = traced_service
     for trace in by_id.values():
         stage_spans = [s for s in trace.spans if s.name.startswith("stage:")]
         assert len(stage_spans) == 4
@@ -473,10 +463,10 @@ def test_traced_service_stage_spans_carry_cycles_and_energy(traced_scalar):
         assert respond.attrs["latency_s"] > 0.0
 
 
-def test_trace_differential_stage_means_match_metrics(traced_scalar):
+def test_trace_differential_stage_means_match_metrics(traced_service):
     """The acceptance check: per-stage compute means reconstructed from
     deduplicated trace spans equal the runtime's stage_*_s histograms."""
-    _, traces, snapshot = traced_scalar
+    _, traces, snapshot = traced_service
     means = stage_compute_means(traces)
     observed = {
         name[len("stage_"):-len("_s")]: summary
@@ -490,8 +480,8 @@ def test_trace_differential_stage_means_match_metrics(traced_scalar):
         assert stage_breakdown(traces)["stages"][stage]["compute"]["count"] == summary["count"]
 
 
-def test_vector_engine_emits_kernel_spans():
-    by_id, _, _ = _run_traced_service(engine="vector")
+def test_vector_engine_emits_kernel_spans(traced_service):
+    by_id, _, _ = traced_service
     for trace in by_id.values():
         kernels = [s for s in trace.spans if s.name.startswith("kernel:")]
         assert {s.name for s in kernels} == {
@@ -569,8 +559,8 @@ def test_expired_request_trace_has_no_device_work():
     assert trace.find("admit") and trace.find("queue")
 
 
-def test_runtime_trace_captures_construction_artifact_builds(traced_scalar):
-    _, traces, snapshot = traced_scalar
+def test_runtime_trace_captures_construction_artifact_builds(traced_service):
+    _, traces, snapshot = traced_service
     (runtime,) = [t for t in traces if t.trace_id == "runtime"]
     builds = runtime.find("artifact_build")
     assert builds, "bitstream builds during construction should be traced"

@@ -84,16 +84,6 @@ class TestOracle:
         assert set(payload["max_deviation"]) == {"level", "capacitance_pf", "dsp_level"}
         assert len(payload["per_seed"]) == 2
 
-    def test_vector_engine_sweep_has_zero_violations(self):
-        """The vector engine must hold the oracle with *unchanged*
-        tolerances — and, being bit-identical, with zero module-path
-        deviation."""
-        report = run_oracle(range(3), engine="vector")
-        assert report.ok and not report.violations
-        deviations = report.max_deviation()
-        assert deviations["level"] == 0.0
-        assert deviations["capacitance_pf"] == 0.0
-
     def test_zero_tolerance_reports_violation(self):
         # The dsp path legitimately deviates by the fixed-point grid; a
         # zero tolerance must surface that as a per-field violation.
@@ -108,12 +98,11 @@ class TestOracle:
 
 
 class TestMatrix:
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
     @pytest.mark.parametrize(
         "transport,family", [("shard", "priority"), ("net", "thermal")]
     )
-    def test_new_cells_are_exact_with_coverage(self, transport, family, engine):
-        report = run_oracle([3], family=family, transport=transport, engine=engine)
+    def test_new_cells_are_exact_with_coverage(self, transport, family):
+        report = run_oracle([3], family=family, transport=transport)
         assert report.ok, report.violations
         deviations = report.max_deviation()
         assert deviations["level"] == 0.0
@@ -138,14 +127,14 @@ class TestMatrix:
 
     def test_report_names_the_cell_it_ran(self):
         payload = run_oracle(
-            [0], family="plain", transport="local", engine="vector", policy="energy"
+            [0], family="plain", transport="local", policy="energy"
         ).to_dict()
-        assert (
-            payload["family"],
-            payload["transport"],
-            payload["engine"],
-            payload["policy"],
-        ) == ("plain", "local", "vector", "energy")
+        assert (payload["family"], payload["transport"], payload["policy"]) == (
+            "plain",
+            "local",
+            "energy",
+        )
+        assert "engine" not in payload
 
 
 # -------------------------------------------------------------- fault oracle
@@ -159,12 +148,11 @@ class TestFaultOracle:
         assert len(tank_ids) == len(set(tank_ids))
         assert scenario.batched
 
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    def test_mixed_sweep_is_exact_at_each_engine(self, engine):
-        """The tentpole claim: a batch mixing faulted and clean requests
-        is served bit-exactly by *both* engines — faulted requests retried
-        in-batch, not scrubbed out to a scalar side path."""
-        report = run_oracle(range(4), family="faults", engine=engine)
+    def test_mixed_sweep_is_exact(self):
+        """A batch mixing faulted and clean requests is served bit-exactly
+        by the batch kernels — faulted requests retried in-batch as extra
+        lanes, not scrubbed out to a per-request side path."""
+        report = run_oracle(range(4), family="faults")
         assert report.ok, report.violations
         # The sweep genuinely mixed outcomes, else it proved nothing.
         assert sum(c.coverage["clean_ok"] for c in report.checks) > 0
@@ -173,12 +161,6 @@ class TestFaultOracle:
         assert deviations["level"] == 0.0
         assert deviations["capacitance_pf"] == 0.0
         assert 0.0 < deviations["dsp_level"] < ToleranceSpec().dsp_level_abs
-
-    def test_engines_agree_per_seed(self):
-        scalar = run_oracle(range(3), family="faults", engine="scalar")
-        vector = run_oracle(range(3), family="faults", engine="vector")
-        for s_check, v_check in zip(scalar.checks, vector.checks):
-            assert s_check.to_dict() == v_check.to_dict()
 
     def test_shared_tank_scenario_rejected_for_replay(self):
         from repro.serve.batching import FaultInjector
@@ -192,7 +174,6 @@ class TestFaultOracle:
         report = run_oracle(range(2), family="faults")
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is True
-        assert payload["engine"] == "scalar"
         assert payload["seeds_checked"] == 2
         outcomes = [seed["coverage"] for seed in payload["per_seed"]]
         assert sum(
@@ -209,13 +190,6 @@ class TestFuzz:
         assert report.ok
         assert report.seeds_run == 2
         assert report.to_dict()["failures"] == []
-
-    def test_vector_engine_clean_sweep(self):
-        """Randomized scalar-vs-vector equivalence: the fuzzer's reference
-        replay is the scalar path, so a vector sweep diffs the engines."""
-        report = run_fuzz(range(2), max_requests=6, engine="vector")
-        assert report.ok
-        assert report.seeds_run == 2
 
     def test_shrink_finds_minimal_reproducer(self):
         scenario = generate_scenario(11)  # multi-tank, several requests
@@ -336,24 +310,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True and payload["seeds_run"] == 1
 
-    def test_oracle_vector_engine_passes(self, capsys):
-        rc = cli_main(["verifylab", "oracle", "--seeds", "2", "--engine", "vector"])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True and payload["seeds_checked"] == 2
-
-    @pytest.mark.parametrize("engine", ["scalar", "vector"])
-    def test_fault_oracle_cli_passes(self, capsys, engine):
-        rc = cli_main(
-            [
-                "verifylab", "oracle", "--seeds", "2",
-                "--family", "faults", "--engine", engine,
-            ]
-        )
+    def test_fault_oracle_cli_passes(self, capsys):
+        rc = cli_main(["verifylab", "oracle", "--seeds", "2", "--family", "faults"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["engine"] == engine
         outcomes = [seed["coverage"] for seed in payload["per_seed"]]
         assert sum(o["faulted_ok"] for o in outcomes) > 0
         assert sum(o["clean_ok"] for o in outcomes) > 0
@@ -403,21 +364,40 @@ class TestCli:
                 "--requests", "4",
                 "--tanks", "2",
                 "--workers", "1",
-                "--engine", "vector",
                 "--batched-only",
                 "--json",
             ]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
+        assert "engine" not in payload
         batched = payload["modes"]["batched"]
-        assert batched["service"]["engine"] == "vector"
+        assert "engine" not in batched["service"]
         assert "kernel_cache" in batched
         # Satellite: per-stage timing histograms surface in --json output.
         for stage in ("frontend", "amp_phase", "capacity", "filter"):
             assert batched["histograms"][f"stage_{stage}_s"]["count"] > 0
 
     def test_serve_bench_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["serve-bench", "--engine", "simd"])
-        capsys.readouterr()
+        # The fleet has one engine, so there is no option to select one.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve-bench", "--engine", "vector"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-bench"],
+            ["serve"],
+            ["verifylab", "oracle"],
+            ["verifylab", "fuzz"],
+            ["shard-chaos"],
+        ],
+    )
+    def test_help_lists_no_engine_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv + ["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "usage:" in out and "--engine" not in out
