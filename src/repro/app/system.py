@@ -47,6 +47,10 @@ from repro.softcore.footprint import MICROBLAZE_FOOTPRINT
 MICROBLAZE_CLOCK_MHZ = 25.0
 #: Hardware-module clock (bounded by the slowest module's fmax, 75 MHz).
 HW_CLOCK_MHZ = 75.0
+#: Sequential cells on the reconfigurable system's hardware clock tree,
+#: charged by ``FpgaReconfigSystem.run_cycle`` and by the serving fleet's
+#: :class:`repro.serve.energy.EnergyModel`.
+CLOCK_TREE_CELLS = 1400
 #: Glue logic on the static side (reset, bridge, decode).
 GLUE_SLICES = 50
 #: External SRAM chip for the software variant.
@@ -522,7 +526,9 @@ class FpgaReconfigSystem(_BaseSystem, _HardwareProcessingMixin):
         processing = sum(d for _n, d in steps)
         reconfig = sum(reconfig_times)
         cycle_span = max(schedule.period_s, schedule.busy_time_s)
-        clock_power = clock_tree_power_w(self.device, 1400, self.hw_clock_mhz, self.params)
+        clock_power = clock_tree_power_w(
+            self.device, CLOCK_TREE_CELLS, self.hw_clock_mhz, self.params
+        )
         # With clock gating the module clock tree only toggles while the
         # hardware pipeline is active (plus the FSL transfer).
         clock_span = (

@@ -36,10 +36,6 @@ class BitstreamStore:
     #: Sequential read bandwidth of the flash, bytes/second (16-bit
     #: parallel NOR in page mode).
     read_bytes_per_second: float = 20_000_000.0
-    #: Standby power of the memory device, watts.
-    standby_power_w: float = 0.0002
-    #: Active read power, watts.
-    read_power_w: float = FLASH_READ_POWER_W
     _images: Dict[str, bytes] = field(default_factory=dict)
 
     def store(self, name: str, bitstream: Bitstream) -> None:
@@ -115,7 +111,10 @@ class ReconfigController:
         #: (:mod:`repro.fabric.faults`) ground truth to work against.
         self.config_memory = config_memory
         self.resident: Dict[int, Optional[str]] = {s.index: None for s in floorplan.slots}
-        self.loads: List[LoadRecord] = []
+        #: Running totals over every load, kept instead of a load history
+        #: so a long-running server holds constant state.
+        self.total_reconfig_time_s = 0.0
+        self.total_reconfig_energy_j = 0.0
 
     def prepare_module(self, name: str, slot_index: int) -> Bitstream:
         """Generate and store the partial bitstream of a module targeted at
@@ -138,9 +137,7 @@ class ReconfigController:
         """
         if self.resident.get(slot_index) == name:
             event = ConfigurationEvent(self.port.name, 0, 0, 0.0, 0.0, f"cached:{name}")
-            record = LoadRecord(name, slot_index, 0.0, event)
-            self.loads.append(record)
-            return record
+            return LoadRecord(name, slot_index, 0.0, event)
         key = self._key(name, slot_index)
         raw = self.store.fetch(key)
         fetch_time = self.store.fetch_time_s(key)
@@ -151,7 +148,8 @@ class ReconfigController:
             self.config_memory.load(bitstream)
         self.resident[slot_index] = name
         record = LoadRecord(name, slot_index, fetch_time, event)
-        self.loads.append(record)
+        self.total_reconfig_time_s += record.total_time_s
+        self.total_reconfig_energy_j += record.energy_j
         return record
 
     def evict(self, slot_index: int) -> None:
@@ -179,21 +177,3 @@ class ReconfigController:
     @staticmethod
     def _key(name: str, slot_index: int) -> str:
         return f"{name}@slot{slot_index}"
-
-    @property
-    def configured_load_count(self) -> int:
-        """Loads that actually pushed a bitstream through the port."""
-        return sum(1 for r in self.loads if r.config.bitstream_bytes > 0)
-
-    @property
-    def cached_load_count(self) -> int:
-        """Loads satisfied by the module already being resident."""
-        return sum(1 for r in self.loads if r.config.bitstream_bytes == 0)
-
-    @property
-    def total_reconfig_time_s(self) -> float:
-        return sum(r.total_time_s for r in self.loads)
-
-    @property
-    def total_reconfig_energy_j(self) -> float:
-        return sum(r.energy_j for r in self.loads)

@@ -13,8 +13,7 @@ FDRI packets, CRC) and report the time and energy one configuration takes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 from repro.fabric.bitstream import Bitstream
 from repro.netlist.blocks import BlockFootprint
@@ -44,9 +43,6 @@ class ConfigPort:
     #: configuration is in flight, watts.
     active_power_w = 0.025
 
-    def __init__(self):
-        self.events: List[ConfigurationEvent] = []
-
     @property
     def bytes_per_second(self) -> float:
         raise NotImplementedError
@@ -65,7 +61,7 @@ class ConfigPort:
         raw = bitstream.to_bytes()
         parsed = Bitstream.from_bytes(raw, bitstream.device_name)
         duration = len(raw) / self.bytes_per_second
-        event = ConfigurationEvent(
+        return ConfigurationEvent(
             port=self.name,
             bitstream_bytes=len(raw),
             frames=parsed.frame_count,
@@ -73,8 +69,6 @@ class ConfigPort:
             energy_j=duration * self.active_power_w,
             description=bitstream.description,
         )
-        self.events.append(event)
-        return event
 
     def configure_time_s(self, byte_count: int) -> float:
         """Time to push ``byte_count`` bytes (planning shortcut)."""
@@ -90,7 +84,6 @@ class Icap(ConfigPort):
     name = "ICAP"
 
     def __init__(self, clock_mhz: float = 66.0):
-        super().__init__()
         if clock_mhz <= 0:
             raise ValueError(f"clock must be positive, got {clock_mhz}")
         self.clock_mhz = clock_mhz
@@ -121,7 +114,6 @@ class Jcap(ConfigPort):
     )
 
     def __init__(self, tck_mhz: float = 33.0, improved: bool = True):
-        super().__init__()
         if tck_mhz <= 0:
             raise ValueError(f"TCK must be positive, got {tck_mhz}")
         self.tck_mhz = tck_mhz

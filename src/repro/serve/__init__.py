@@ -23,7 +23,8 @@ ones the reconfiguration literature points at:
 
 * **Energy-aware scheduling** (:mod:`repro.serve.energy`) — the paper's
   power model priced into batch formation: an :class:`EnergyModel`
-  predicts joules/request for candidate batches, the ``policy="energy"``
+  charges every executed batch and predicts joules/request for candidate
+  batches with the same function, the ``policy="energy"``
   scheduler seam picks group, batch size and fill wait to minimize it
   within deadline SLOs, and a :class:`DeviceMixPlanner` recommends a
   device mix (few big dies vs many small) for an offered load.

@@ -28,8 +28,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.app.frontend import AnalogFrontEnd
 from repro.app.modules import FRAME_SAMPLES
-from repro.app.system import MICROBLAZE_CLOCK_MHZ, FpgaReconfigSystem, frontend_slices
-from repro.power.model import block_dynamic_power_w, clock_tree_power_w, static_power_w
+from repro.app.system import FpgaReconfigSystem
+from repro.serve.energy import FRONTEND_CLOCK_MHZ, EnergyModel
 from repro.serve.faultrng import CounterRng
 from repro.serve.metrics import Metrics
 from repro.serve.respbuf import LaneBuffers
@@ -41,12 +41,7 @@ from repro.serve.requests import (
     MeasurementResponse,
     RequestBroker,
 )
-from repro.softcore.footprint import MICROBLAZE_FOOTPRINT
 from repro.trace.tracer import NULL_TRACER, Tracer
-
-#: Clock domain of the analog front end's delta-sigma sampling, MHz
-#: (matches the 16 MHz the power model charges frontend activity at).
-FRONTEND_CLOCK_MHZ = 16.0
 
 #: The full measurement pipeline, in data-flow order (paper Figure 4).
 STANDARD_PIPELINE: Tuple[str, ...] = ("frontend", "amp_phase", "capacity", "filter")
@@ -509,15 +504,10 @@ class BatchExecutor:
         from repro.kernels.engine import VectorEngine
 
         self._vector = VectorEngine(system, tracer=self.tracer)
-        steps = system._processing_steps()
-        #: Simulated duration of each stage's device work, per request
-        #: (``_processing_steps`` order: amp_phase, capacity, filter).
-        self._stage_time_s: Dict[str, float] = {
-            "frontend": system.sample_time_s,
-            "amp_phase": steps[0][1],
-            "capacity": steps[1][1],
-            "filter": steps[2][1],
-        }
+        #: The device cost model every batch is charged through — the same
+        #: one the energy policy predicts with.  Stage times are frozen at
+        #: build time; a thermal governor reprices the rest.
+        self.costs = EnergyModel.from_system(system, slot_index)
 
     # ------------------------------------------------------------ attribution
 
@@ -528,20 +518,9 @@ class BatchExecutor:
     def stage_cycles(self, stage: str, n_requests: int = 1) -> int:
         """Simulated device cycles a stage occupies for ``n_requests``."""
         return int(round(
-            self._stage_time_s[stage] * self.stage_clock_mhz(stage) * 1e6 * n_requests
+            self.costs.stage_costs[stage].time_s
+            * self.stage_clock_mhz(stage) * 1e6 * n_requests
         ))
-
-    def stage_energy_j(self, stage: str, n_requests: int = 1) -> float:
-        """Modelled dynamic energy of one stage for ``n_requests`` — the
-        same per-block activity model :meth:`_account_sweeps` charges,
-        exposed per stage so spans can attribute energy the way the
-        paper's Table 2 attributes per-net power."""
-        if stage == "frontend":
-            power = block_dynamic_power_w(frontend_slices(), 0.45, FRONTEND_CLOCK_MHZ)
-        else:
-            module = self.system.modules[stage].compiled
-            power = block_dynamic_power_w(module.slices, 0.15, self.system.hw_clock_mhz)
-        return power * self._stage_time_s[stage] * n_requests
 
     # ---------------------------------------------------------------- stages
 
@@ -603,7 +582,7 @@ class BatchExecutor:
         ValueError
             If the batch pipeline names an unknown stage.
         """
-        unknown = [s for s in batch.pipeline if s not in self._stage_time_s]
+        unknown = [s for s in batch.pipeline if s not in self.costs.stage_costs]
         if unknown:
             raise ValueError(f"unknown pipeline stage(s) {unknown} in batch {batch.batch_id}")
         now = self.clock()
@@ -634,8 +613,6 @@ class BatchExecutor:
 
         injector = self.fault_injector
         controller = self.system.controller
-        loads_before = controller.configured_load_count
-        records_before = len(controller.loads)
 
         # Plan: expand each request's predicted attempt chain.  The
         # injector's draws are pure functions of (request, attempt), so
@@ -700,6 +677,7 @@ class BatchExecutor:
         self._seg = seg
 
         stage_requests: Dict[str, int] = {stage: 0 for stage in batch.pipeline}
+        loads = []
         faults = 0
         try:
             for stage_index, stage in enumerate(batch.pipeline):
@@ -711,6 +689,7 @@ class BatchExecutor:
                     )
                     reconfig_t0 = self.clock()
                 record = controller.load(stage, self.slot_index)
+                loads.append(record)
                 if seg is not None:
                     seg.add(
                         "reconfig",
@@ -759,7 +738,9 @@ class BatchExecutor:
                         f"stage:{stage}",
                         requests=occupied,
                         cycles=self.stage_cycles(stage, occupied),
-                        energy_j=self.stage_energy_j(stage, occupied),
+                        # Per-stage attribution, as Table 2 attributes
+                        # per-net power.
+                        energy_j=self.costs.stage_costs[stage].dynamic_j * occupied,
                     )
         finally:
             self._seg = None
@@ -769,13 +750,17 @@ class BatchExecutor:
             if rid in exhausted and slot.error is not None:
                 exhausted[rid] = slot.error
 
-        reconfigs = controller.configured_load_count - loads_before
+        reconfigs = sum(1 for r in loads if r.config.bitstream_bytes > 0)
         # The naive baseline would pay the full pipeline per *attempt*.
         would_be = len(batch.pipeline) * participants
         avoided = max(0, would_be - reconfigs)
-        batch_loads = controller.loads[records_before:]
-        device_time, energy = self._account_sweeps(
-            batch, batch_loads, stage_requests, participants
+        reconfig_energy = sum(r.energy_j for r in loads)
+        device_time, energy = self.costs.charge(
+            batch.pipeline,
+            stage_requests,
+            participants,
+            sum(r.total_time_s for r in loads),
+            reconfig_energy,
         )
         share = energy / len(live)
         if seg is not None:
@@ -852,7 +837,7 @@ class BatchExecutor:
         self.metrics.observe("joules_per_request", share)
         if injector is not None:
             self.metrics.observe("fault_sweeps", sweeps)
-        self.metrics.add("reconfig_energy_j", sum(r.energy_j for r in batch_loads))
+        self.metrics.add("reconfig_energy_j", reconfig_energy)
         return BatchOutcome(
             batch=batch,
             responses=responses,
@@ -863,55 +848,3 @@ class BatchExecutor:
             faults=faults,
             sweeps=sweeps,
         )
-
-    # ------------------------------------------------------------- accounting
-
-    def _account_sweeps(
-        self,
-        batch: Batch,
-        batch_loads,
-        stage_requests: Dict[str, int],
-        participants: int,
-    ) -> Tuple[float, float]:
-        """Simulated device time and energy of one batch, mirroring the
-        per-cycle model of ``FpgaReconfigSystem.run_cycle``, charged by
-        actual stage participation: a request that faulted at stage *k* of
-        sweep *j* only ran stages ``0..k`` that sweep, and re-ran the
-        pipeline on the next sweep.  ``stage_requests[stage]`` counts
-        request-runs of each stage across all sweeps; ``participants``
-        counts request-sweeps (the unit the per-request I/O and FSL
-        transfer costs scale with).
-        """
-        system = self.system
-        compute_time = sum(
-            self._stage_time_s[s] * stage_requests.get(s, 0)
-            for s in batch.pipeline
-            if s != "frontend"
-        )
-        sample_total = system.sample_time_s * stage_requests.get("frontend", 0)
-        reconfig_time = sum(r.total_time_s for r in batch_loads)
-        reconfig_energy = sum(r.energy_j for r in batch_loads)
-        io_time = (system.fsl_transfer_s + system._io_time_s()) * participants
-        device_time = reconfig_time + sample_total + compute_time + io_time
-
-        params = system.params
-        clock_power = clock_tree_power_w(system.device, 1400, system.hw_clock_mhz, params)
-        clock_span = (
-            compute_time + system.fsl_transfer_s * participants
-            if system.clock_gating
-            else device_time
-        )
-        energy = static_power_w(system.device, params) * device_time
-        energy += clock_power * clock_span
-        for stage in batch.pipeline:
-            energy += self.stage_energy_j(stage, stage_requests.get(stage, 0))
-        energy += (
-            block_dynamic_power_w(
-                MICROBLAZE_FOOTPRINT.slices,
-                MICROBLAZE_FOOTPRINT.mean_activity,
-                MICROBLAZE_CLOCK_MHZ,
-            )
-            * device_time
-        )
-        energy += reconfig_energy
-        return device_time, energy

@@ -9,13 +9,15 @@ transfer, plus the bitstream fetch from external flash) — but the
 ``BatchScheduler`` historically ignored all of it.  This module closes
 that loop with three pieces:
 
-* :class:`EnergyModel` — prices a candidate batch (size × stage order ×
-  device) in joules/request *before* dispatch, mirroring the accounting
-  :meth:`repro.serve.batching.BatchExecutor._account_sweeps` charges after the
-  fact.  ``from_system`` reads every cost off a live
-  :class:`~repro.app.system.FpgaReconfigSystem` (predictions match the
-  executor's measurements near-exactly); ``for_device`` prices a catalog
-  device analytically for planning.
+* :class:`EnergyModel` — the one cost function of a stage-major batch.
+  :meth:`EnergyModel.charge` is what
+  :class:`~repro.serve.batching.BatchExecutor` bills every executed
+  batch with, and :meth:`EnergyModel.estimate` predicts a candidate
+  batch (size × stage order × device) by calling the same function
+  *before* dispatch, so prediction and charge agree by construction.
+  ``from_system`` reads every cost off a live
+  :class:`~repro.app.system.FpgaReconfigSystem`; ``for_device`` prices a
+  catalog device analytically for planning.
 * :class:`EnergyPolicy` — the ``policy="energy"`` seam of
   :class:`~repro.serve.batching.BatchScheduler`: picks the pipeline
   group and target batch size that minimize predicted joules/request,
@@ -32,11 +34,24 @@ that loop with three pieces:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.app.frontend import AnalogFrontEnd
+from repro.app.modules import standard_modules
+from repro.app.system import (
+    CLOCK_TREE_CELLS,
+    FSL_WORDS_PER_FRAME,
+    HW_CLOCK_MHZ,
+    MICROBLAZE_CLOCK_MHZ,
+    SystemConfig,
+    frontend_slices,
+    static_side_slices,
+)
 from repro.fabric.device import FRAMES_PER_CLB_COLUMN, SPARTAN3, DeviceSpec
+from repro.ip.uart import Uart
 from repro.power.model import (
     PowerParams,
     block_dynamic_power_w,
@@ -49,9 +64,9 @@ from repro.reconfig.ports import ConfigPort, Jcap
 from repro.reconfig.slots import FloorplanError, plan_floorplan
 from repro.softcore.footprint import MICROBLAZE_FOOTPRINT
 
-#: Sequential cells charged to the hardware clock tree (matches
-#: ``BatchExecutor._account_sweeps`` and ``FpgaReconfigSystem.run_cycle``).
-CLOCK_TREE_CELLS = 1400
+#: Clock domain of the analog front end's delta-sigma sampling, MHz
+#: (the 16 MHz ``FpgaReconfigSystem.run_cycle`` charges frontend activity at).
+FRONTEND_CLOCK_MHZ = 16.0
 
 #: Default fill window the energy policy waits for a fuller batch when a
 #: request carries no deadline to bound the wait (seconds).
@@ -92,15 +107,29 @@ class BatchEnergyEstimate:
         return self.energy_j / self.batch_size
 
 
-class EnergyModel:
-    """Prices candidate batches in joules, mirroring the executor.
+def _stage_power_w(stage: str, modules, hw_clock_mhz: float) -> float:
+    """Block dynamic power of one pipeline stage's hardware while it runs."""
+    if stage == "frontend":
+        return block_dynamic_power_w(frontend_slices(), 0.45, FRONTEND_CLOCK_MHZ)
+    return block_dynamic_power_w(modules[stage].compiled.slices, 0.15, hw_clock_mhz)
 
-    The estimate reproduces ``BatchExecutor._account_sweeps`` term by term:
-    static power over the whole device-busy span, clock-tree power over
-    the (possibly gated) clock span, per-stage block dynamic energy, the
-    MicroBlaze controller's dynamic power, and one reconfiguration per
-    stage switch — so ``estimate(...)`` of a batch the executor then
-    runs predicts the measured ``energy_j`` to within float noise.
+
+#: Dynamic power of the MicroBlaze running the reconfiguration controller.
+_CONTROLLER_POWER_W = block_dynamic_power_w(
+    MICROBLAZE_FOOTPRINT.slices, MICROBLAZE_FOOTPRINT.mean_activity, MICROBLAZE_CLOCK_MHZ
+)
+
+
+class EnergyModel:
+    """The device cost of a stage-major batch, charged and predicted.
+
+    :meth:`charge` is the one cost function: static power over the whole
+    device-busy span, clock-tree power over the (possibly gated) clock
+    span, per-stage block dynamic energy, the MicroBlaze controller's
+    dynamic power, and the batch's reconfiguration energy.  The executor
+    bills every batch it runs with it; :meth:`estimate` predicts a batch
+    by calling it with one modelled reconfiguration per stage switch, so
+    a prediction is the charge of the batch it predicts.
     """
 
     def __init__(
@@ -125,18 +154,24 @@ class EnergyModel:
         self.fsl_time_s = fsl_time_s
         self.clock_gating = clock_gating
 
-    def reprice_static(self, system) -> None:
-        """Refresh the temperature-dependent price terms off a live
-        system.  ``from_system`` freezes static and clock-tree power at
-        build time; when a thermal governor moves the system's junction
-        temperature (``system.params.temperature_c``) or derates its
-        clock, leakage and clock power move with it — call this so the
-        policy's joules/request predictions track the executor's
-        accounting instead of pricing with cold-start leakage forever."""
+    def reprice(self, system) -> None:
+        """Refresh every term that reads a live system's operating point:
+        static and clock-tree power (``system.params``, whose junction
+        temperature a thermal governor moves) and each stage's dynamic
+        energy (``system.hw_clock_mhz``, which it derates).  Stage times
+        stay as built."""
         self.static_power_w = static_power_w(system.device, system.params)
         self.clock_power_w = clock_tree_power_w(
             system.device, CLOCK_TREE_CELLS, system.hw_clock_mhz, system.params
         )
+        self.stage_costs = {
+            stage: dataclasses.replace(
+                cost,
+                dynamic_j=_stage_power_w(stage, system.modules, system.hw_clock_mhz)
+                * cost.time_s,
+            )
+            for stage, cost in self.stage_costs.items()
+        }
 
     # ------------------------------------------------------------ constructors
 
@@ -144,15 +179,12 @@ class EnergyModel:
     def from_system(cls, system, slot_index: int = 0) -> "EnergyModel":
         """Read every cost off a live :class:`FpgaReconfigSystem`.
 
-        Stage times come from the compiled modules (the executor's
-        ``_stage_time_s``), reconfiguration costs from the controller's
-        bitstream store and configuration port — the same numbers a
-        :class:`~repro.reconfig.controller.LoadRecord` will report, so
-        prediction and measurement agree.
+        Stage times come from the compiled modules at the system's clock
+        when the model is built, reconfiguration costs from the
+        controller's bitstream store and configuration port (the same
+        numbers a :class:`~repro.reconfig.controller.LoadRecord` reports),
+        and the operating-point terms from :meth:`reprice`.
         """
-        from repro.app.system import MICROBLAZE_CLOCK_MHZ, frontend_slices
-        from repro.serve.batching import FRONTEND_CLOCK_MHZ
-
         steps = system._processing_steps()
         stage_times = {
             "frontend": system.sample_time_s,
@@ -164,19 +196,12 @@ class EnergyModel:
         port = system.controller.port
         costs: Dict[str, StageCost] = {}
         for stage, stage_time in stage_times.items():
-            if stage == "frontend":
-                dyn_w = block_dynamic_power_w(
-                    frontend_slices(), 0.45, FRONTEND_CLOCK_MHZ
-                )
-            else:
-                module = system.modules[stage].compiled
-                dyn_w = block_dynamic_power_w(module.slices, 0.15, system.hw_clock_mhz)
             image_bytes = len(store.fetch(f"{stage}@slot{slot_index}"))
             fetch_s = image_bytes / store.read_bytes_per_second
             config_s = port.configure_time_s(image_bytes)
             costs[stage] = StageCost(
                 time_s=stage_time,
-                dynamic_j=dyn_w * stage_time,
+                dynamic_j=0.0,  # priced by reprice() below
                 # Flash fetch and port transfer overlap only trivially
                 # (``LoadRecord.total_time_s``): the slower path dominates.
                 reconfig_time_s=max(fetch_s, config_s),
@@ -184,22 +209,18 @@ class EnergyModel:
                     config_s, port.active_power_w, fetch_s, FLASH_READ_POWER_W
                 ),
             )
-        return cls(
+        model = cls(
             device=system.device,
             stage_costs=costs,
-            static_power_w=static_power_w(system.device, system.params),
-            clock_power_w=clock_tree_power_w(
-                system.device, CLOCK_TREE_CELLS, system.hw_clock_mhz, system.params
-            ),
-            controller_power_w=block_dynamic_power_w(
-                MICROBLAZE_FOOTPRINT.slices,
-                MICROBLAZE_FOOTPRINT.mean_activity,
-                MICROBLAZE_CLOCK_MHZ,
-            ),
+            static_power_w=0.0,
+            clock_power_w=0.0,
+            controller_power_w=_CONTROLLER_POWER_W,
             io_time_s=system.fsl_transfer_s + system._io_time_s(),
             fsl_time_s=system.fsl_transfer_s,
             clock_gating=system.clock_gating,
         )
+        model.reprice(system)
+        return model
 
     @classmethod
     def for_device(
@@ -221,19 +242,6 @@ class EnergyModel:
         FloorplanError
             When the device cannot hold the static side plus one slot.
         """
-        from repro.app.frontend import AnalogFrontEnd
-        from repro.app.modules import standard_modules
-        from repro.app.system import (
-            HW_CLOCK_MHZ,
-            MICROBLAZE_CLOCK_MHZ,
-            FSL_WORDS_PER_FRAME,
-            SystemConfig,
-            frontend_slices,
-            static_side_slices,
-        )
-        from repro.ip.uart import Uart
-        from repro.serve.batching import FRONTEND_CLOCK_MHZ
-
         params = params or PowerParams()
         port = port or Jcap()
         config = SystemConfig()
@@ -262,15 +270,9 @@ class EnergyModel:
         config_s = port.configure_time_s(image_bytes)
         costs: Dict[str, StageCost] = {}
         for stage, stage_time in stage_times.items():
-            if stage == "frontend":
-                dyn_w = block_dynamic_power_w(frontend_slices(), 0.45, FRONTEND_CLOCK_MHZ)
-            else:
-                dyn_w = block_dynamic_power_w(
-                    modules[stage].compiled.slices, 0.15, hw_clock
-                )
             costs[stage] = StageCost(
                 time_s=stage_time,
-                dynamic_j=dyn_w * stage_time,
+                dynamic_j=_stage_power_w(stage, modules, hw_clock) * stage_time,
                 reconfig_time_s=max(fetch_s, config_s),
                 reconfig_energy_j=reconfiguration_energy_j(
                     config_s, port.active_power_w, fetch_s, FLASH_READ_POWER_W
@@ -281,18 +283,55 @@ class EnergyModel:
             stage_costs=costs,
             static_power_w=static_power_w(device, params),
             clock_power_w=clock_tree_power_w(device, CLOCK_TREE_CELLS, hw_clock, params),
-            controller_power_w=block_dynamic_power_w(
-                MICROBLAZE_FOOTPRINT.slices,
-                MICROBLAZE_FOOTPRINT.mean_activity,
-                MICROBLAZE_CLOCK_MHZ,
-            ),
+            controller_power_w=_CONTROLLER_POWER_W,
             io_time_s=FSL_WORDS_PER_FRAME / (MICROBLAZE_CLOCK_MHZ * 1e6)
             + Uart().char_time_s * 16,
             fsl_time_s=FSL_WORDS_PER_FRAME / (MICROBLAZE_CLOCK_MHZ * 1e6),
             clock_gating=clock_gating,
         )
 
-    # --------------------------------------------------------------- estimates
+    # ------------------------------------------------------------------ costs
+
+    def charge(
+        self,
+        pipeline: Sequence[str],
+        stage_requests: Dict[str, int],
+        participants: int,
+        reconfig_time_s: float,
+        reconfig_energy_j: float,
+    ) -> Tuple[float, float]:
+        """Simulated ``(device_time_s, energy_j)`` of one stage-major batch.
+
+        ``stage_requests[stage]`` counts the request-runs of each stage (an
+        attempt that faulted at stage *k* ran only stages ``0..k``);
+        ``participants`` counts attempts, the unit the per-request I/O and
+        FSL transfer scale with; the reconfiguration terms are the batch's
+        slot loads.
+        """
+        costs = self.stage_costs
+        compute_time = sum(
+            costs[s].time_s * stage_requests[s] for s in pipeline if s != "frontend"
+        )
+        sample_total = (
+            costs["frontend"].time_s * stage_requests["frontend"]
+            if "frontend" in pipeline
+            else 0.0
+        )
+        device_time = (
+            reconfig_time_s + sample_total + compute_time + self.io_time_s * participants
+        )
+        clock_span = (
+            compute_time + self.fsl_time_s * participants
+            if self.clock_gating
+            else device_time
+        )
+        energy = self.static_power_w * device_time
+        energy += self.clock_power_w * clock_span
+        for stage in pipeline:
+            energy += costs[stage].dynamic_j * stage_requests[stage]
+        energy += self.controller_power_w * device_time
+        energy += reconfig_energy_j
+        return device_time, energy
 
     def estimate(
         self,
@@ -300,7 +339,8 @@ class EnergyModel:
         batch_size: int,
         resident: Optional[str] = None,
     ) -> BatchEnergyEstimate:
-        """Predicted cost of one ``batch_size``-request stage-major batch.
+        """Predicted cost of one ``batch_size``-request stage-major batch:
+        :meth:`charge` of a batch in which every request runs every stage.
 
         ``resident`` names the module currently configured in the slot:
         the first stage is free when it is already resident (the
@@ -327,25 +367,9 @@ class EnergyModel:
                 reconfig_time += cost.reconfig_time_s
                 reconfig_energy += cost.reconfig_energy_j
             previous = stage
-        sample_total = (
-            self.stage_costs["frontend"].time_s * n if "frontend" in pipeline else 0.0
+        device_time, energy = self.charge(
+            pipeline, {s: n for s in pipeline}, n, reconfig_time, reconfig_energy
         )
-        per_request_compute = sum(
-            self.stage_costs[s].time_s for s in pipeline if s != "frontend"
-        )
-        device_time = (
-            reconfig_time + sample_total + per_request_compute * n + self.io_time_s * n
-        )
-        clock_span = (
-            (per_request_compute + self.fsl_time_s) * n
-            if self.clock_gating
-            else device_time
-        )
-        energy = self.static_power_w * device_time
-        energy += self.clock_power_w * clock_span
-        energy += sum(self.stage_costs[s].dynamic_j for s in pipeline) * n
-        energy += self.controller_power_w * device_time
-        energy += reconfig_energy
         return BatchEnergyEstimate(
             pipeline=tuple(pipeline),
             batch_size=n,
@@ -590,9 +614,6 @@ class DeviceMixPlanner:
     def slots_for(self, device: DeviceSpec) -> int:
         """Reconfigurable slots the device holds next to the static side
         (0 when not even one fits)."""
-        from repro.app.modules import standard_modules
-        from repro.app.system import static_side_slices
-
         modules = standard_modules()
         slot_slices = max(m.compiled.slices for m in modules.values())
         slot_signals = max(m.compiled.interface_nets for m in modules.values())

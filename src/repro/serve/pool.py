@@ -334,9 +334,9 @@ class FleetService:
         for worker_id in range(workers):
             self.workers.append(self.build_worker(worker_id))
         if policy == "energy":
-            # Built after the workers: the energy model reads its costs off
-            # a live system (identical across workers — same config, port
-            # and cache), so predictions match the executor's accounting.
+            # Built after the workers: the policy predicts with the cost
+            # model the executors charge through, read off a live system
+            # (identical across workers — same config, port and cache).
             from repro.serve.energy import DEFAULT_FILL_WINDOW_S, EnergyModel, EnergyPolicy
 
             self.scheduler.policy = EnergyPolicy(

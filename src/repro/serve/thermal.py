@@ -17,9 +17,9 @@ scale:
   fast* measurements run, never what they compute.
 * :class:`ThermalGovernor` — the wiring: after every batch it advances
   the owning worker's model, publishes the new junction temperature into
-  that worker's ``system.params`` (so the executor's energy accounting
-  and the energy policy's pricing both see hot leakage), and applies the
-  derating policy.
+  that worker's ``system.params``, applies the derating policy, and
+  reprices the worker's and the energy policy's cost model, so charges
+  and predictions both see hot leakage.
 """
 
 from __future__ import annotations
@@ -126,12 +126,13 @@ class ThermalGovernor:
 
     1. advances the worker's :class:`ThermalModel`;
     2. writes the new junction temperature into that worker's
-       ``system.params`` (leakage scaling — the executor reads ``params``
-       live, so the *next* batch is accounted at hot leakage);
+       ``system.params`` (leakage scaling);
     3. derates the shared batch ceiling off the *hottest* worker and the
        worker's own hardware clock off its own temperature;
-    4. reprices the energy policy's model (when the service runs one) so
-       batch-formation decisions see the hot static power.
+    4. reprices the worker's cost model, so the *next* batch is charged
+       at hot leakage and the derated clock, and the energy policy's
+       model (when the service runs one), so batch-formation decisions
+       see the same prices.
 
     Everything is driven by simulated quantities, so a scenario replay is
     bit-reproducible regardless of host speed or engine.
@@ -207,10 +208,13 @@ class ThermalGovernor:
             system.params = dataclasses.replace(system.params, temperature_c=temp_c)
             base_clock = self._base_clock_mhz.setdefault(worker_id, system.hw_clock_mhz)
             system.hw_clock_mhz = base_clock * self.derating.scale(temp_c)
+            # The worker charges, and the energy policy predicts, through
+            # an ``EnergyModel``: reprice both at the new operating point.
+            worker.executor.costs.reprice(system)
             policy = getattr(service.scheduler, "policy", None)
             model = getattr(policy, "model", None)
             if model is not None:
-                model.reprice_static(system)
+                model.reprice(system)
         # The batch ceiling is shared by every worker: size it for the
         # hottest one (the one a too-large batch would push past the knee).
         if self._base_max_batch is not None:

@@ -87,20 +87,36 @@ class TestMeasurementConsistency:
         readings = [system.run_cycle(0.7).level_measured for _ in range(4)]
         assert readings[-1] == pytest.approx(0.7, abs=0.04)
 
-    def test_reconfig_loads_follow_processing_flow(self):
+    @staticmethod
+    def _spy_loads(system, monkeypatch):
+        """Record every load record the system's controller returns."""
+        records = []
+        load = system.controller.load
+
+        def spy(name, slot_index):
+            record = load(name, slot_index)
+            records.append(record)
+            return record
+
+        monkeypatch.setattr(system.controller, "load", spy)
+        return records
+
+    def test_reconfig_loads_follow_processing_flow(self, monkeypatch):
         """Modules are configured 'after each other, following the flow of
         the data processing'."""
         system = FpgaReconfigSystem(port=Icap())
+        records = self._spy_loads(system, monkeypatch)
         system.run_cycle(0.5)
-        load_order = [l.module for l in system.controller.loads]
+        load_order = [l.module for l in records]
         assert load_order == ["frontend", "amp_phase", "capacity", "filter"]
 
-    def test_second_cycle_reloads_everything(self):
+    def test_second_cycle_reloads_everything(self, monkeypatch):
         """With one slot, every module must be reconfigured again each
         cycle (nothing stays resident)."""
         system = FpgaReconfigSystem(port=Icap())
+        records = self._spy_loads(system, monkeypatch)
         system.run_cycle(0.5)
-        first = len(system.controller.loads)
+        first = len(records)
         system.run_cycle(0.5)
-        assert len(system.controller.loads) == 2 * first
-        assert all(l.total_time_s > 0 for l in system.controller.loads)
+        assert len(records) == 2 * first
+        assert all(l.total_time_s > 0 for l in records)

@@ -25,6 +25,7 @@ from repro.serve import (
 from repro.serve.batching import STANDARD_PIPELINE
 from repro.serve.energy import DEFAULT_FILL_WINDOW_S
 from repro.serve.supervisor import AdmissionController
+from repro.serve.thermal import ThermalGovernor, ThermalParams
 
 
 @pytest.fixture(scope="module")
@@ -40,25 +41,62 @@ def model(system):
 # -------------------------------------------------------------- EnergyModel
 
 
-def test_estimate_matches_measured_batch_energy(model):
-    """Prediction parity: the model's estimate of a batch the fleet then
-    actually executes must equal the executor's measured accounting."""
-    service = FleetService(workers=1, max_batch=8, batched=True, seed=7)
-    service.start()
-    requests = synthetic_load(8, n_tanks=2)
-    accepted, rejected = service.submit_many(requests)
+def _predicted_and_charged(n_requests, thermal=None):
+    """Serve ``n_requests`` through one energy-policy worker; return the
+    service and, per executed batch, the policy's estimate made just
+    before it ran, the executor's outcome, and the worker's clock."""
+    service = FleetService(
+        workers=1, max_batch=8, batched=True, seed=7, policy="energy", thermal=thermal
+    )
+    executor = service.workers[0].executor
+    model = service.scheduler.policy.model
+    execute = executor.execute
+    charged = []
+
+    def spy(batch, worker=None):
+        resident = executor.system.controller.resident[executor.slot_index]
+        predicted = model.estimate(STANDARD_PIPELINE, batch.size, resident=resident)
+        clock_mhz = executor.system.hw_clock_mhz
+        outcome = execute(batch, worker=worker)
+        charged.append((predicted, outcome, clock_mhz))
+        return outcome
+
+    executor.execute = spy
+    accepted, rejected = service.submit_many(synthetic_load(n_requests, n_tanks=2))
     assert not rejected
+    service.start()
     assert service.await_responses(accepted, timeout_s=120)
     assert service.shutdown()
+    for predicted, outcome, _clock in charged:
+        assert outcome.sweeps == 1 and outcome.faults == 0  # full batches
+        assert predicted.energy_j == pytest.approx(outcome.energy_j, rel=1e-12, abs=0)
+        assert predicted.device_time_s == pytest.approx(
+            outcome.device_time_s, rel=1e-12, abs=0
+        )
+    return service, charged
+
+
+def test_estimate_matches_measured_batch_energy():
+    """Prediction parity: the energy policy's estimate of every batch the
+    fleet then executes equals the executor's charge — on a cold system,
+    and after a thermal governor has heated the worker and derated its
+    clock (prediction and charge are one function, ``EnergyModel.charge``)."""
+    service, charged = _predicted_and_charged(8)
     snap = service.metrics_snapshot()
     assert snap["counters"]["batches_formed"] == 1
-    measured = snap["gauges"]["energy_j"]
-    live_model = EnergyModel.from_system(service.workers[0].executor.system)
-    predicted = live_model.estimate(STANDARD_PIPELINE, 8, resident=None)
-    assert predicted.energy_j == pytest.approx(measured, rel=1e-9)
+    predicted = charged[0][0]
+    assert snap["gauges"]["energy_j"] == pytest.approx(predicted.energy_j, rel=1e-9)
     assert snap["gauges"]["reconfig_energy_j"] == pytest.approx(
         predicted.reconfig_energy_j, rel=1e-9
     )
+
+    governor = ThermalGovernor(
+        ThermalParams(ambient_c=55.0, r_theta_c_per_w=300.0, tau_s=0.02)
+    )
+    _service, charged = _predicted_and_charged(16, thermal=governor)
+    assert governor.derate_events >= 1
+    cold_clock = charged[0][2]
+    assert any(clock < cold_clock for _p, _o, clock in charged[1:])
 
 
 def test_joules_per_request_decreases_with_batch_size(model):

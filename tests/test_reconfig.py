@@ -102,7 +102,7 @@ class TestPorts:
         assert event.frames == bs.frame_count
         assert event.duration_s == pytest.approx(bs.total_bytes / port.bytes_per_second)
         assert event.energy_j > 0
-        assert port.events == [event]
+        assert event.bitstream_bytes == bs.total_bytes
 
     def test_configure_time_validation(self):
         with pytest.raises(ValueError):
@@ -145,6 +145,7 @@ class TestControllerAndStore:
         r2 = c.load("capacity", 0)
         assert c.resident[0] == "capacity"
         assert c.total_reconfig_time_s == pytest.approx(r1.total_time_s + r2.total_time_s)
+        assert c.total_reconfig_energy_j == pytest.approx(r1.energy_j + r2.energy_j)
 
     def test_cached_load_is_free(self, dev):
         c = self._controller(dev)

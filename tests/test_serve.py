@@ -241,6 +241,36 @@ def test_immediate_shutdown_stops_workers():
     assert all(not w.is_alive() for w in service.workers)
 
 
+def _container_sizes(*objects):
+    """Length of every container held in each object's ``vars()``."""
+    return {
+        (type(obj).__name__, name): len(value)
+        for obj in objects
+        for name, value in vars(obj).items()
+        if isinstance(value, (list, dict, set, tuple, bytes, bytearray))
+    }
+
+
+def test_reconfig_state_does_not_grow_with_uptime():
+    """A long-running fleet keeps totals, not history, in the
+    reconfiguration layer: after k and after 4k batches, the controller,
+    its port and its store hold containers of the same sizes."""
+    k = 3
+    service = FleetService(workers=1, batched=False, seed=5).start()
+    controller = service.workers[0].executor.system.controller
+    layer = (controller, controller.port, controller.store)
+    try:
+        service.submit_many(synthetic_load(k, n_tanks=2))
+        assert service.await_responses(k, timeout_s=120)
+        after_k = _container_sizes(*layer)
+        service.submit_many(synthetic_load(3 * k, n_tanks=2, start_id=k))
+        assert service.await_responses(4 * k, timeout_s=120)
+        assert service.metrics_snapshot()["counters"]["batches_formed"] == 4 * k
+        assert _container_sizes(*layer) == after_k
+    finally:
+        service.shutdown()
+
+
 # ----------------------------------------------------------- building blocks
 
 
