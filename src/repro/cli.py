@@ -174,7 +174,7 @@ def _run_serve_mode(args: argparse.Namespace, batched: bool, tracer=None) -> dic
         fault_rate=args.fault_rate,
         seed=args.seed,
         tracer=tracer,
-        policy=args.policy if batched else "fifo",
+        policy=args.policy,
         window_s=args.window if batched else 0.0,
     ).start()
     requests = synthetic_load(
@@ -646,6 +646,8 @@ def _cmd_net_load(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve import DEFAULT_POLICY, POLICIES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DATE 2008 cost/power-optimized FPGA system integration — reproduction CLI",
@@ -711,10 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--policy",
-        choices=["fifo", "energy"],
-        default="fifo",
-        help="batch-formation policy for the batched mode "
-        "(energy = minimize joules/request within deadline SLOs)",
+        choices=POLICIES,
+        default=DEFAULT_POLICY,
+        help="batch-formation policy (energy = minimize joules/request "
+        "within deadline SLOs; unbatched, it forms batches of one)",
     )
     p.add_argument(
         "--window",
@@ -748,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument("--queue-capacity", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=["fifo", "energy"], default="fifo")
+    p.add_argument("--policy", choices=POLICIES, default=DEFAULT_POLICY)
     p.add_argument("--window", type=float, default=0.0, help="batch fill window (s)")
     p.add_argument(
         "--max-connections",
@@ -861,8 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument(
         "--policy",
-        choices=["fifo", "energy"],
-        default="fifo",
+        choices=POLICIES,
+        default=DEFAULT_POLICY,
         help="batch-formation policy under test (scheduling-order changes "
         "must never alter measurement results)",
     )

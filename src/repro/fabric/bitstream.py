@@ -7,8 +7,8 @@ reconfigurable regions on Spartan-3 span full device columns.
 
 The generated bitstreams are structurally faithful — sync word, type-1
 packets writing the frame address register (FAR), frame data input (FDRI)
-words, and a CRC — so that the configuration-port models in
-:mod:`repro.reconfig.ports` can parse them like real hardware would.  The
+words, and a CRC — so that :class:`repro.reconfig.controller.BitstreamStore`
+can check them like real configuration logic would.  The
 frame *payload* is synthetic (derived from a seeded hash of the module name),
 since the actual LUT equations do not influence any quantity the paper
 evaluates; what matters is that sizes and timings come out right.
@@ -20,7 +20,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.fabric.device import FRAMES_PER_CLB_COLUMN, DeviceSpec
 from repro.fabric.grid import Region
@@ -71,14 +71,21 @@ class Frame:
         return 4 * len(self.words)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bitstream:
-    """A full or partial configuration bitstream."""
+    """A full or partial configuration bitstream.
+
+    Immutable (frames are stored as a tuple of frozen :class:`Frame`), so
+    one checked instance can be shared by every load of the same image.
+    """
 
     device_name: str
-    frames: List[Frame]
+    frames: Tuple[Frame, ...]
     partial: bool
     description: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "frames", tuple(self.frames))
 
     @property
     def frame_count(self) -> int:
@@ -91,8 +98,11 @@ class Bitstream:
 
     @property
     def total_bytes(self) -> int:
-        """Total on-the-wire size: payload plus packet/command overhead."""
-        return len(self.to_bytes())
+        """Total on-the-wire size: payload plus packet/command overhead
+        (``len(self.to_bytes())``, counted without serialising): ten
+        framing words (dummy, sync, WCFG, LFRM, CRC and DESYNC packets)
+        plus a FAR packet and an FDRI header per frame."""
+        return 4 * (10 + sum(3 + len(frame.words) for frame in self.frames))
 
     def to_bytes(self) -> bytes:
         """Serialise to the on-the-wire word stream."""
@@ -146,7 +156,7 @@ class Bitstream:
                 frames.append(Frame(far, tuple(payload)))
                 far = None
             elif reg == REG_CRC:
-                expect = zlib.crc32(struct.pack(f">{i}I", *words[:i])) & 0xFFFFFFFF
+                expect = zlib.crc32(raw[: 4 * i]) & 0xFFFFFFFF
                 if payload[0] != expect:
                     raise ValueError(
                         f"CRC mismatch: stream {payload[0]:#010x} != computed {expect:#010x}"

@@ -40,7 +40,6 @@ class ConfigurationMemory:
 
     def __init__(self):
         self._frames: Dict[int, List[int]] = {}
-        self.injected: List[InjectedFault] = []
 
     def load(self, bitstream: Bitstream) -> None:
         """Write a (partial) bitstream into configuration memory."""
@@ -85,9 +84,7 @@ class ConfigurationMemory:
         word_index = rng.randrange(len(words))
         bit_index = rng.randrange(32)
         words[word_index] ^= 1 << bit_index
-        fault = InjectedFault(address, word_index, bit_index)
-        self.injected.append(fault)
-        return fault
+        return InjectedFault(address, word_index, bit_index)
 
     def inject_burst(self, size: int, rng: Optional[random.Random] = None) -> List[InjectedFault]:
         """Flip ``size`` random configuration bits (a multi-bit upset).
@@ -119,9 +116,7 @@ class ConfigurationMemory:
         if not 0 <= bit_index < 32:
             raise ValueError(f"bit index {bit_index} outside 0..31")
         words[word_index] ^= 1 << bit_index
-        fault = InjectedFault(address, word_index, bit_index)
-        self.injected.append(fault)
-        return fault
+        return InjectedFault(address, word_index, bit_index)
 
     def corrupted_frames(self, golden: Bitstream) -> List[int]:
         """Frame addresses whose content differs from a golden bitstream

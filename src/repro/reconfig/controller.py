@@ -31,16 +31,32 @@ class BitstreamStore:
     "Dynamic and partial hardware reconfiguration allows functions that are
     not constantly required to be stored in a low-power memory and
     configured dynamically on-demand."
+
+    Stored images never change once written, so an image is checked (sync
+    word, packet structure, CRC) once, when it enters the store, and the
+    parsed, immutable :class:`Bitstream` is kept beside the raw bytes for
+    every later load to use by reference.
     """
 
     #: Sequential read bandwidth of the flash, bytes/second (16-bit
     #: parallel NOR in page mode).
     read_bytes_per_second: float = 20_000_000.0
     _images: Dict[str, bytes] = field(default_factory=dict)
+    _checked: Dict[str, Bitstream] = field(default_factory=dict)
 
-    def store(self, name: str, bitstream: Bitstream) -> None:
-        """Serialise and store a module's partial bitstream."""
-        self._images[name] = bitstream.to_bytes()
+    def store(self, name: str, image: bytes) -> Bitstream:
+        """Write a serialised image and return its checked, parsed form.
+
+        Raises
+        ------
+        ValueError
+            If the image fails the check (no sync word, a truncated or
+            malformed packet, a missing or wrong CRC); nothing is stored.
+        """
+        checked = Bitstream.from_bytes(image)
+        self._images[name] = bytes(image)
+        self._checked[name] = checked
+        return checked
 
     def fetch(self, name: str) -> bytes:
         """Read a stored image.
@@ -54,6 +70,17 @@ class BitstreamStore:
             known = ", ".join(sorted(self._images)) or "(none)"
             raise KeyError(f"no bitstream {name!r} in store; have: {known}")
         return self._images[name]
+
+    def bitstream(self, name: str) -> Bitstream:
+        """The checked, parsed form of a stored image (shared, immutable).
+
+        Raises
+        ------
+        KeyError
+            If no image of that name exists.
+        """
+        self.fetch(name)
+        return self._checked[name]
 
     def fetch_time_s(self, name: str) -> float:
         return len(self.fetch(name)) / self.read_bytes_per_second
@@ -121,7 +148,7 @@ class ReconfigController:
         a slot (the design-time step)."""
         slot = self.floorplan.slot(slot_index)
         bitstream = self.generator.partial_for_region(slot.region, name)
-        self.store.store(self._key(name, slot_index), bitstream)
+        self.store.store(self._key(name, slot_index), bitstream.to_bytes())
         return bitstream
 
     def load(self, name: str, slot_index: int) -> LoadRecord:
@@ -139,11 +166,11 @@ class ReconfigController:
             event = ConfigurationEvent(self.port.name, 0, 0, 0.0, 0.0, f"cached:{name}")
             return LoadRecord(name, slot_index, 0.0, event)
         key = self._key(name, slot_index)
-        raw = self.store.fetch(key)
+        bitstream = self.store.bitstream(key)
+        event = self.port.configure(
+            len(self.store.fetch(key)), bitstream.frame_count, f"partial:{name}"
+        )
         fetch_time = self.store.fetch_time_s(key)
-        bitstream = Bitstream.from_bytes(raw, self.floorplan.device.name)
-        bitstream.description = f"partial:{name}"
-        event = self.port.configure(bitstream)
         if self.config_memory is not None:
             self.config_memory.load(bitstream)
         self.resident[slot_index] = name
@@ -171,8 +198,7 @@ class ReconfigController:
         name = self.resident.get(slot_index)
         if name is None:
             return None
-        raw = self.store.fetch(self._key(name, slot_index))
-        return Bitstream.from_bytes(raw, self.floorplan.device.name)
+        return self.store.bitstream(self._key(name, slot_index))
 
     @staticmethod
     def _key(name: str, slot_index: int) -> str:

@@ -7,15 +7,17 @@ The JCAP core offers a reconfiguration rate which is lower than the one
 provided by the ICAP interface.  However ... it is also described how the
 reconfiguration rate provided by the JCAP core may be increased."
 
-Both ports parse the serialised bitstream like hardware (sync word, FAR/
-FDRI packets, CRC) and report the time and energy one configuration takes.
+Both ports price one configuration from its byte length and frame count
+and report the time and energy it takes.  They do not parse the stream:
+its sync word, FAR/FDRI packets and CRC are checked once, when the image
+enters :class:`repro.reconfig.controller.BitstreamStore`, the one place
+its bytes can change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fabric.bitstream import Bitstream
 from repro.netlist.blocks import BlockFootprint
 
 
@@ -47,27 +49,25 @@ class ConfigPort:
     def bytes_per_second(self) -> float:
         raise NotImplementedError
 
-    def configure(self, bitstream: Bitstream) -> ConfigurationEvent:
-        """Push a bitstream through the port.
-
-        The serialised stream is parsed back (validating the sync word,
-        packet structure and CRC) exactly as the configuration logic would.
+    def configure(
+        self, byte_count: int, frames: int, description: str = ""
+    ) -> ConfigurationEvent:
+        """Push a checked ``byte_count``-byte stream of ``frames`` frames
+        through the port.
 
         Raises
         ------
         ValueError
-            If the bitstream fails to parse or its CRC is wrong.
+            On a negative byte count.
         """
-        raw = bitstream.to_bytes()
-        parsed = Bitstream.from_bytes(raw, bitstream.device_name)
-        duration = len(raw) / self.bytes_per_second
+        duration = self.configure_time_s(byte_count)
         return ConfigurationEvent(
             port=self.name,
-            bitstream_bytes=len(raw),
-            frames=parsed.frame_count,
+            bitstream_bytes=byte_count,
+            frames=frames,
             duration_s=duration,
             energy_j=duration * self.active_power_w,
-            description=bitstream.description,
+            description=description,
         )
 
     def configure_time_s(self, byte_count: int) -> float:

@@ -25,8 +25,8 @@ ones the reconfiguration literature points at:
   power model priced into batch formation: an :class:`EnergyModel`
   charges every executed batch and predicts joules/request for candidate
   batches with the same function, the ``policy="energy"``
-  scheduler seam picks group, batch size and fill wait to minimize it
-  within deadline SLOs, and a :class:`DeviceMixPlanner` recommends a
+  scheduler seam (the default) picks group, batch size and fill wait to
+  minimize it within deadline SLOs, and a :class:`DeviceMixPlanner` recommends a
   device mix (few big dies vs many small) for an offered load.
 
 * **Supervision** (:mod:`repro.serve.supervisor`) — the runtime survives
@@ -63,7 +63,7 @@ from repro.serve.energy import (
 )
 from repro.serve.loadgen import synthetic_load
 from repro.serve.metrics import Counter, Histogram, Metrics
-from repro.serve.pool import FleetService, FleetWorker
+from repro.serve.pool import DEFAULT_POLICY, POLICIES, FleetService, FleetWorker
 from repro.serve.requests import (
     KIND_CALIBRATE,
     KIND_MEASURE,
@@ -102,6 +102,7 @@ __all__ = [
     "CachingBitstreamGenerator",
     "CircuitBreaker",
     "Counter",
+    "DEFAULT_POLICY",
     "DeratingPolicy",
     "DeviceMixPlanner",
     "DevicePlan",
@@ -117,6 +118,7 @@ __all__ = [
     "MeasurementResponse",
     "Metrics",
     "OverloadShedError",
+    "POLICIES",
     "PRIORITY_ALARM",
     "PRIORITY_ROUTINE",
     "RequestBroker",

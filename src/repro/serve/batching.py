@@ -72,6 +72,10 @@ class BatchScheduler:
     the pipeline group, target batch size and fill wait that minimize
     predicted joules/request within the queued requests' deadline slack.
     ``policy=None`` keeps the FIFO path byte-for-byte unchanged.
+
+    One caller forms a batch at a time.  Without that, two workers' fill
+    windows would each take part of the same arrivals, and a fast
+    executor would find the queue split into batches of one.
     """
 
     def __init__(
@@ -107,6 +111,9 @@ class BatchScheduler:
         self._resident: Optional[str] = None
         self._next_id = 0
         self._id_lock = threading.Lock()
+        #: Held for the whole of one batch formation (park, fill wait,
+        #: take); the next caller waits its turn and takes nothing.
+        self._form_lock = threading.Lock()
 
     def _allocate_id(self) -> int:
         with self._id_lock:
@@ -115,9 +122,22 @@ class BatchScheduler:
 
     def next_batch(self, timeout_s: Optional[float] = None) -> Optional[Batch]:
         """Take the next batch, blocking up to ``timeout_s`` for the first
-        request; None when nothing arrived (timeout or broker closed)."""
-        if self.policy is not None:
-            return self._next_batch_energy(timeout_s)
+        request; None when nothing arrived (timeout or broker closed).
+
+        A caller first waits (up to ``timeout_s``) for any other caller's
+        formation to finish, then forms its own batch."""
+        if not self._form_lock.acquire(timeout=-1 if timeout_s is None else timeout_s):
+            return None
+        try:
+            if self.policy is not None:
+                return self._next_batch_energy(timeout_s)
+            return self._next_batch_fifo(timeout_s)
+        finally:
+            self._form_lock.release()
+
+    def _next_batch_fifo(self, timeout_s: Optional[float]) -> Optional[Batch]:
+        """FIFO batch formation: the head request's pipeline group, after
+        the optional ``window_s`` wait for a full batch."""
         window_start = self.broker.clock()
         if self.window_s > 0:
             deadline = window_start + self.window_s

@@ -147,9 +147,8 @@ class CachingBitstreamGenerator(BitstreamGenerator):
     """A :class:`BitstreamGenerator` whose partial bitstreams are served
     from a shared :class:`ArtifactCache`.
 
-    Bitstream frames are immutable tuples, so sharing one instance across
-    workers is safe; only the mutable ``description`` is re-stamped by
-    callers, hence each hit returns a shallow per-caller copy.
+    A :class:`Bitstream` is immutable, so every hit returns the one shared
+    instance.
     """
 
     def __init__(self, device: DeviceSpec, cache: ArtifactCache):
@@ -158,14 +157,8 @@ class CachingBitstreamGenerator(BitstreamGenerator):
 
     def partial_for_region(self, region: Region, module_name: str) -> Bitstream:
         key = bitstream_key(module_name, self.device, region)
-        shared = self.cache.get_or_build(
+        return self.cache.get_or_build(
             key, lambda: super(CachingBitstreamGenerator, self).partial_for_region(region, module_name)
-        )
-        return Bitstream(
-            device_name=shared.device_name,
-            frames=shared.frames,
-            partial=shared.partial,
-            description=shared.description,
         )
 
 

@@ -55,6 +55,13 @@ from repro.serve.supervisor import (
 )
 from repro.trace.tracer import NULL_TRACER, Tracer
 
+#: The batch-formation policy a :class:`FleetService` uses unless told
+#: otherwise: the energy policy's fill wait keeps batches together when
+#: the executor is fast.
+DEFAULT_POLICY = "energy"
+#: Every batch-formation policy a :class:`FleetService` accepts.
+POLICIES = (DEFAULT_POLICY, "fifo")
+
 
 class FleetWorker(threading.Thread):
     """One serving thread around one simulated FPGA system.
@@ -97,6 +104,9 @@ class FleetWorker(threading.Thread):
         #: the batch taken but not yet fully delivered, and the exception
         #: that killed the serving loop (None on a normal exit).
         self.last_heartbeat = broker.clock()
+        #: True while the worker is inside the scheduler, waiting for work
+        #: or for its turn to form a batch: waiting is not a stall.
+        self.waiting_for_batch = False
         self.current_batch: Optional[Batch] = None
         self.failure: Optional[BaseException] = None
 
@@ -129,14 +139,16 @@ class FleetWorker(threading.Thread):
                     min(0.05, max(0.001, self.breaker.cooldown_remaining_s()))
                 )
                 continue
+            self.waiting_for_batch = True
             batch = self.scheduler.next_batch(timeout_s=None)
+            self.last_heartbeat = clock()
+            self.waiting_for_batch = False
             if batch is None:
                 self.metrics.inc("worker_idle_wakeups")
                 if self.broker.closed and self.broker.depth == 0:
                     break
                 continue
             self.current_batch = batch
-            self.last_heartbeat = clock()
             if self.chaos is not None:
                 # May raise WorkerCrash (a BaseException): the thread dies
                 # with the batch in flight and the supervisor takes over.
@@ -227,6 +239,11 @@ class FleetService:
     baseline (batch size 1, one slot load per stage per request) that the
     throughput benchmark compares against.
 
+    ``policy`` picks batch formation from :data:`POLICIES`: ``"energy"``
+    (the default; joules/request-driven, with a bounded fill wait) or
+    ``"fifo"`` (the head request's pipeline group).  Unbatched, the energy
+    policy targets batches of one and never waits to fill.
+
     Every batch runs on the vector kernels (:mod:`repro.kernels`).
     ``engine`` accepts only ``"vector"`` and any other value raises
     ``ValueError``; the keyword stays only because the performance
@@ -255,7 +272,7 @@ class FleetService:
         supervisor_config: Optional[SupervisorConfig] = None,
         chaos=None,
         on_deliver: Optional[Callable[[List[MeasurementResponse]], None]] = None,
-        policy: str = "fifo",
+        policy: str = DEFAULT_POLICY,
         corrector: Optional[
             Callable[[MeasurementResponse], MeasurementResponse]
         ] = None,
@@ -265,12 +282,8 @@ class FleetService:
             raise ValueError(f"engine must be 'vector', got {engine!r}")
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if policy not in ("fifo", "energy"):
-            raise ValueError(f"policy must be 'fifo' or 'energy', got {policy!r}")
-        if policy == "energy" and not batched:
-            raise ValueError(
-                "policy='energy' optimizes batch formation and requires batched=True"
-            )
+        if policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
         self.policy = policy
         #: Optional push seam: called with every batch of terminal
         #: responses after they are recorded (a shard worker uses this to
@@ -341,7 +354,7 @@ class FleetService:
 
             self.scheduler.policy = EnergyPolicy(
                 EnergyModel.from_system(self.workers[0].executor.system),
-                max_batch=max_batch,
+                max_batch=self.scheduler.max_batch,
                 fill_window_s=window_s if window_s > 0 else DEFAULT_FILL_WINDOW_S,
                 admission=self.admission,
             )

@@ -50,7 +50,8 @@ class SupervisorConfig:
 
     #: Supervisor sweep period (real time between pool health checks).
     interval_s: float = 0.05
-    #: A live worker whose heartbeat is older than this is counted stalled.
+    #: A live worker whose heartbeat is older than this is counted stalled,
+    #: unless it is waiting in the scheduler for a batch.
     heartbeat_timeout_s: float = 5.0
     #: Restart budget per worker id; beyond it the worker is abandoned
     #: (a crash loop must not become a restart loop).
@@ -332,7 +333,7 @@ class WorkerSupervisor(threading.Thread):
         for index, worker in enumerate(list(service.workers)):
             if worker.is_alive():
                 age = now - worker.last_heartbeat
-                if age > self.config.heartbeat_timeout_s:
+                if age > self.config.heartbeat_timeout_s and not worker.waiting_for_batch:
                     if not self._stalled.get(worker.worker_id):
                         self._stalled[worker.worker_id] = True
                         self.metrics.inc("worker_stalls")

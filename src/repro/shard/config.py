@@ -12,6 +12,8 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.serve.pool import DEFAULT_POLICY, POLICIES
+
 
 def default_start_method() -> str:
     """``fork`` where the platform offers it (fast restarts, warm module
@@ -36,6 +38,8 @@ class ShardConfig:
     queue_capacity: int = 256
     batched: bool = True
     window_s: float = 0.0
+    #: Batch-formation policy of every shard's ``FleetService``.
+    policy: str = DEFAULT_POLICY
     fault_rate: float = 0.0
     seed: int = 0
     noise_rms: float = 0.002
@@ -72,6 +76,8 @@ class ShardConfig:
             )
         if self.queue_capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {self.queue_capacity}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat interval and timeout must be positive")
         if self.max_restarts_per_shard < 0:

@@ -73,6 +73,7 @@ def build_service(
         queue_capacity=config.queue_capacity,
         batched=config.batched,
         window_s=config.window_s,
+        policy=config.policy,
         fault_rate=config.fault_rate,
         seed=config.seed,
         config=SystemConfig(circuit=config.circuit) if config.circuit is not None else None,

@@ -46,7 +46,7 @@ from repro.scenarios.priority import generate_priority_scenario
 from repro.scenarios.thermal import generate_thermal_scenario
 from repro.serve.batching import FaultInjector, TankStateStore
 from repro.serve.cache import ArtifactCache
-from repro.serve.pool import FleetService
+from repro.serve.pool import DEFAULT_POLICY, POLICIES, FleetService
 from repro.serve.requests import STATUS_FAILED, STATUS_OK, MeasurementResponse
 from repro.shard.config import ShardConfig
 from repro.shard.router import ShardRouter
@@ -66,8 +66,6 @@ NET_CLIENTS = 3
 FAULT_RATE = 0.3
 FAULT_RETRY_RATE = 0.15
 FAULT_BURST = 2
-
-POLICIES = ("fifo", "energy")
 
 #: Bitstream/slot artifacts depend only on (module, device, region) — they
 #: are identical across scenarios, so one cache serves every oracle run.
@@ -232,7 +230,7 @@ def _fleet(scenario, hooks: dict, policy: str) -> FleetService:
         config=SystemConfig(circuit=scenario.circuit),
         cache=_shared_cache,
         noise_rms=scenario.noise_rms,
-        policy=policy if batched else "fifo",
+        policy=policy,
         **hooks,
     )
 
@@ -242,8 +240,8 @@ def serve_local(
 ) -> Served:
     """Serve in process: requests pre-submitted before the pool starts.
 
-    ``policy="energy"`` falls back to FIFO when unbatched; per-tank FIFO
-    makes any policy's results bit-exact against the reference.
+    Per-tank FIFO makes any policy's results bit-exact against the
+    reference.
 
     Raises
     ------
@@ -290,6 +288,7 @@ def serve_shard(
         max_batch=scenario.max_batch,
         queue_capacity=scenario.n_requests + 16,
         batched=getattr(scenario, "batched", True),
+        policy=policy,
         seed=scenario.seed,
         noise_rms=scenario.noise_rms,
         circuit=scenario.circuit,
@@ -641,7 +640,6 @@ UNSUPPORTED: Dict[Tuple[str, str], str] = {
     ("shard", "faults"): _SHARD_HOOK,
     ("shard", "drift"): _SHARD_HOOK,
     ("shard", "thermal"): _SHARD_HOOK,
-    ("shard", "energy"): "ShardConfig has no batch-formation policy",
     ("net", "drift"): (
         "the TCP edge swaps in a server-side request id, and DriftCorrector "
         "keys on request_id, so corrected values diverge over TCP"
@@ -781,7 +779,7 @@ def check_scenario(
     scenario,
     family: str = "plain",
     transport: str = "local",
-    policy: str = "fifo",
+    policy: str = DEFAULT_POLICY,
     tolerances: Optional[ToleranceSpec] = None,
 ) -> Check:
     """Serve one scenario of ``family`` over ``transport`` and diff every
@@ -855,7 +853,7 @@ def run_oracle(
     seeds: Iterable[int],
     family: str = "plain",
     transport: str = "local",
-    policy: str = "fifo",
+    policy: str = DEFAULT_POLICY,
     tolerances: Optional[ToleranceSpec] = None,
 ) -> Report:
     """Differential-check one ``family`` scenario per seed over

@@ -375,9 +375,20 @@ def test_energy_policy_service_serves_everything_exactly():
     assert results["fifo"] == results["energy"]
 
 
-def test_energy_policy_requires_batched_mode():
-    with pytest.raises(ValueError):
-        FleetService(batched=False, policy="energy")
+def test_energy_policy_serves_unbatched_as_batches_of_one():
+    """Unbatched, the energy policy targets batches of one and never
+    waits to fill."""
+    service = FleetService(workers=1, batched=False, policy="energy")
+    policy = service.scheduler.policy
+    assert policy.max_batch == service.scheduler.max_batch == 1
+    queued = {STANDARD_PIPELINE: {"count": 1, "earliest_deadline_s": None, "head_position": 0}}
+    decision = policy.decide(queued, now=5.0)
+    assert (decision.target_batch, decision.wait_until_s) == (1, 5.0)
+    accepted, _ = service.submit_many(synthetic_load(4, n_tanks=2))
+    service.start()
+    assert service.await_responses(accepted, timeout_s=60)
+    service.shutdown()
+    assert service.metrics_snapshot()["histograms"]["batch_size"]["max"] == 1
     with pytest.raises(ValueError):
         FleetService(policy="thermal")
 

@@ -82,6 +82,8 @@ class TestSerialisation:
         assert back.frame_count == bs.frame_count
         assert [f.address for f in back.frames] == [f.address for f in bs.frames]
         assert back.frames[0].words == bs.frames[0].words
+        assert bs.total_bytes == len(bs.to_bytes())
+        assert gen.full("top").total_bytes == len(gen.full("top").to_bytes())
 
     def test_sync_word_present(self, gen, dev):
         raw = gen.partial_for_region(Grid(dev).column_region(0, 0), "m").to_bytes()

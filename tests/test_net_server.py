@@ -11,6 +11,7 @@ future client never gets back.
 
 import json
 import socket
+import threading
 import time
 from pathlib import Path
 
@@ -64,27 +65,59 @@ def _submit_line(request):
 # ------------------------------------------------- misbehaving clients
 
 
+class _ExecutionGate:
+    """Chaos hook that holds every batch at execute until opened."""
+
+    def __init__(self):
+        self.opened = threading.Event()
+
+    def on_batch(self, worker_id, batch):
+        pass
+
+    def on_execute(self, worker_id, batch):
+        self.opened.wait(timeout=30.0)
+
+    def snapshot(self):
+        return {}
+
+
+_SLOW_READER_GATE = _ExecutionGate()
+
+
 @pytest.mark.parametrize(
     "stack",
-    [{"write_timeout_s": 0.5, "write_buffer_bytes": 512, "outbound_queue": 512}],
+    [
+        {
+            "write_timeout_s": 0.5,
+            "write_buffer_bytes": 512,
+            "outbound_queue": 512,
+            "service": {"chaos": _SLOW_READER_GATE},
+        }
+    ],
     indirect=True,
 )
 def test_slow_reader_is_disconnected_without_leaks(stack):
     """A client that submits a pile of work and never reads its socket
     stalls the write path; the server must cut it loose within the write
-    timeout and the broker must still drain to zero."""
+    timeout and the broker must still drain to zero.
+
+    Submits beyond ``max_inflight`` are rejected at once, and those
+    replies alone back the socket up.  Execution is held until the
+    disconnect, so admitted work is still in flight when the client goes,
+    however fast the executor."""
     service, server = stack
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     # A tiny receive window makes the server's sends back up quickly.
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1024)
     sock.connect(("127.0.0.1", server.port))
-    n = 80
+    n = 200
     payload = b"".join(_submit_line(r) for r in synthetic_load(n, n_tanks=4))
     sock.sendall(payload)
     _eventually(
         lambda: server.metrics.counter("net_slow_disconnects") >= 1,
         what="slow-client disconnect",
     )
+    _SLOW_READER_GATE.opened.set()
     _eventually(
         lambda: server.pending() == 0 and service.broker.depth == 0,
         what="broker drained after slow-client disconnect",
@@ -330,8 +363,10 @@ def _run_traced_tcp_requests():
     sequential client, ids assigned in arrival order from 1)."""
     sink = TraceSink(capacity=64, exemplars=4)
     tracer = Tracer(sink=sink)
+    # The net golden was recorded under FIFO formation.
     service = FleetService(
-        workers=1, max_batch=4, queue_capacity=32, seed=11, tracer=tracer
+        workers=1, max_batch=4, queue_capacity=32, seed=11, tracer=tracer,
+        policy="fifo",
     )
     service.start()
     server = NetServer(service, NetConfig()).start()

@@ -98,7 +98,7 @@ class TestPorts:
 
         bs = gen.partial_for_region(Grid(dev).column_region(4, 9), "m")
         port = Icap()
-        event = port.configure(bs)
+        event = port.configure(bs.total_bytes, bs.frame_count)
         assert event.frames == bs.frame_count
         assert event.duration_s == pytest.approx(bs.total_bytes / port.bytes_per_second)
         assert event.energy_j > 0
@@ -122,7 +122,7 @@ class TestControllerAndStore:
 
         bs = gen.partial_for_region(Grid(dev).column_region(0, 3), "m")
         store = BitstreamStore()
-        store.store("m", bs)
+        store.store("m", bs.to_bytes())
         assert store.fetch("m") == bs.to_bytes()
         assert store.total_bytes == len(bs.to_bytes())
 
@@ -130,12 +130,89 @@ class TestControllerAndStore:
         with pytest.raises(KeyError, match="no bitstream"):
             BitstreamStore().fetch("ghost")
 
-    def _controller(self, dev, port=None):
+    def _controller(self, dev, port=None, config_memory=None):
         plan = plan_floorplan(dev, 800, [2400])
-        controller = ReconfigController(plan, port or Jcap())
+        controller = ReconfigController(plan, port or Jcap(), config_memory=config_memory)
         for name in ("amp_phase", "capacity", "filter"):
             controller.prepare_module(name, 0)
         return controller
+
+    def _image(self, dev):
+        from repro.fabric.grid import Grid
+
+        return BitstreamGenerator(dev).partial_for_region(Grid(dev).column_region(0, 3), "m")
+
+    def test_store_checks_an_image_once_on_entry(self, dev):
+        raw = self._image(dev).to_bytes()
+        store = BitstreamStore()
+        checked = store.store("m", raw)
+        assert checked.frame_count == self._image(dev).frame_count
+        # Every later read hands out the same parsed object.
+        assert store.bitstream("m") is checked
+        assert store.fetch("m") == raw
+
+    @pytest.mark.parametrize(
+        "corrupt,reason",
+        [
+            # Flip one payload bit: the CRC no longer matches.
+            (lambda raw: raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:], "CRC mismatch"),
+            (lambda raw: raw[: 4 * (len(raw) // 8)], "truncated"),
+            (lambda raw: raw.replace(bytes.fromhex("aa995566"), b"\x00" * 4), "sync word"),
+        ],
+        ids=["crc", "truncated", "no-sync"],
+    )
+    def test_store_refuses_a_corrupted_image(self, dev, corrupt, reason):
+        store = BitstreamStore()
+        with pytest.raises(ValueError, match=reason):
+            store.store("m", corrupt(self._image(dev).to_bytes()))
+        assert store.names() == []
+        with pytest.raises(KeyError):
+            store.bitstream("m")
+
+    def test_scrub_finds_and_repairs_upsets_against_the_shared_golden(self, dev):
+        from repro.fabric.faults import ConfigurationMemory
+        from repro.reconfig.readback import ReadbackScrubber
+
+        memory = ConfigurationMemory()
+        c = self._controller(dev, Icap(), config_memory=memory)
+        c.load("amp_phase", 0)
+        golden = c.golden_bitstream(0)
+        assert c.golden_bitstream(0) is golden  # shared, not re-parsed
+        scrubber = ReadbackScrubber(memory, c.port)
+        scrubber.register_golden(golden)
+        fault = memory.inject_at(golden.frames[5].address, 3, 17)
+        assert memory.corrupted_frames(golden) == [fault.frame_address]
+        report = scrubber.scrub()
+        assert report.corrupted_frames == [fault.frame_address]
+        assert report.repaired_frames == [fault.frame_address]
+        assert memory.corrupted_frames(golden) == []
+        assert scrubber.scrub().clean
+
+    def test_stored_images_stay_byte_identical_under_loads_and_scrubs(self, dev):
+        from dataclasses import FrozenInstanceError
+
+        from repro.fabric.faults import ConfigurationMemory
+
+        memory = ConfigurationMemory()
+        c = self._controller(dev, Icap(), config_memory=memory)
+        names = ("amp_phase", "capacity", "filter")
+        region = c.floorplan.slot(0).region
+        originals = {n: c.generator.partial_for_region(region, n).to_bytes() for n in names}
+        for i in range(100):
+            record = c.load(names[i % 3], 0)
+            assert record.config.description == f"partial:{names[i % 3]}"
+        # Upset the resident module, then repair it from the golden.
+        golden = c.golden_bitstream(0)
+        memory.inject_burst(8)
+        memory.load(golden)
+        assert memory.corrupted_frames(golden) == []
+        for n in names:
+            key = f"{n}@slot0"
+            assert c.store.fetch(key) == originals[n]
+            assert c.store.bitstream(key).to_bytes() == originals[n]
+        with pytest.raises(FrozenInstanceError):
+            golden.description = "mutated"
+        assert isinstance(golden.frames, tuple)
 
     def test_load_sequence(self, dev):
         c = self._controller(dev)

@@ -254,21 +254,84 @@ def _container_sizes(*objects):
 def test_reconfig_state_does_not_grow_with_uptime():
     """A long-running fleet keeps totals, not history, in the
     reconfiguration layer: after k and after 4k batches, the controller,
-    its port and its store hold containers of the same sizes."""
+    its port, its store and its configuration memory hold containers of
+    the same sizes, with SEUs injected and scrubbed along the way."""
     k = 3
-    service = FleetService(workers=1, batched=False, seed=5).start()
+    service = FleetService(workers=1, batched=False, seed=5, fault_rate=0.5).start()
     controller = service.workers[0].executor.system.controller
-    layer = (controller, controller.port, controller.store)
+    layer = (controller, controller.port, controller.store, controller.config_memory)
     try:
         service.submit_many(synthetic_load(k, n_tanks=2))
         assert service.await_responses(k, timeout_s=120)
         after_k = _container_sizes(*layer)
+        faults_after_k = service.metrics.counter("faults_injected")
         service.submit_many(synthetic_load(3 * k, n_tanks=2, start_id=k))
         assert service.await_responses(4 * k, timeout_s=120)
         assert service.metrics_snapshot()["counters"]["batches_formed"] == 4 * k
+        assert service.metrics.counter("faults_injected") > faults_after_k
         assert _container_sizes(*layer) == after_k
     finally:
         service.shutdown()
+
+
+class _ContendedLock:
+    """A lock that signals once a caller has had to wait for it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.contended = threading.Event()
+
+    def acquire(self, blocking=True, timeout=-1):
+        if self._lock.acquire(False):
+            return True
+        self.contended.set()
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self):
+        self._lock.release()
+
+
+def test_one_worker_forms_a_batch_at_a_time():
+    """While one worker sits in its energy-policy fill wait, a second
+    ``next_batch`` caller takes nothing; the filling worker then takes the
+    whole batch, and a worker waiting its turn is not counted stalled."""
+    from repro.serve.supervisor import SupervisorConfig, WorkerSupervisor
+
+    def clock():
+        # Frozen: a fill wait ends only when the batch fills.
+        return 100.0
+
+    service = FleetService(
+        workers=2, max_batch=4, policy="energy", supervise=False, clock=clock
+    )
+    scheduler, broker = service.scheduler, service.broker
+    lock = scheduler._form_lock = _ContendedLock()
+    filling = threading.Event()
+    wait_for_depth = broker.wait_for_depth
+
+    def spy_wait_for_depth(n, deadline_s):
+        if n == scheduler.max_batch:
+            filling.set()
+        return wait_for_depth(n, deadline_s)
+
+    broker.wait_for_depth = spy_wait_for_depth
+    service.submit_many(synthetic_load(1, n_tanks=1))
+    service.start()
+    try:
+        # One worker is filling, the other is blocked on its turn.
+        assert filling.wait(timeout=30) and lock.contended.wait(timeout=30)
+        assert scheduler.next_batch(timeout_s=0.0) is None
+        assert broker.depth == 1
+        for worker in service.workers:
+            worker.last_heartbeat = clock() - 60.0
+        WorkerSupervisor(service, SupervisorConfig(heartbeat_timeout_s=1.0)).check_once()
+        assert service.metrics.counter("worker_stalls") == 0
+        service.submit_many(synthetic_load(3, n_tanks=1, start_id=1))
+        assert service.await_responses(4, timeout_s=60)
+    finally:
+        service.shutdown()
+    sizes = service.metrics_snapshot()["histograms"]["batch_size"]
+    assert (sizes["count"], sizes["max"]) == (1, 4)
 
 
 # ----------------------------------------------------------- building blocks

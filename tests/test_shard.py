@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import DEFAULT_POLICY
 from repro.serve.loadgen import synthetic_load
 from repro.serve.requests import (
     BrokerFullError,
@@ -313,6 +314,12 @@ def test_ring_validation():
     ring.remove_shard(1)
     with pytest.raises(ValueError):
         ring.remove_shard(0)  # never an empty ring
+
+
+def test_shard_config_takes_the_service_policy_default():
+    assert ShardConfig().policy == DEFAULT_POLICY == "energy"
+    with pytest.raises(ValueError, match="policy"):
+        ShardConfig(policy="thermal")
 
 
 # ------------------------------------------------------------------ the router

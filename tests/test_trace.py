@@ -371,6 +371,8 @@ def _run_traced_service(**kwargs):
     kwargs.setdefault("batched", True)
     kwargs.setdefault("seed", 11)
     kwargs.setdefault("queue_capacity", 32)
+    # The vector golden was recorded under FIFO formation.
+    kwargs.setdefault("policy", "fifo")
     service = FleetService(tracer=tracer, **kwargs)
     requests = synthetic_load(8, n_tanks=2)
     accepted, rejected = service.submit_many(requests)
