@@ -107,11 +107,6 @@ class DriftScenario:
             for i, (tank_id, level, kind) in enumerate(self.entries)
         ]
 
-    def measure_ids(self) -> List[int]:
-        return [
-            i for i, (_t, _l, kind) in enumerate(self.entries) if kind == KIND_MEASURE
-        ]
-
     def calibrate_ids(self) -> List[int]:
         return [
             i

@@ -50,6 +50,7 @@ from repro.serve.batching import (
     Batch,
     BatchExecutor,
     BatchScheduler,
+    FifoPolicy,
 )
 from repro.serve.cache import ArtifactCache, CachingBitstreamGenerator
 from repro.serve.energy import (
@@ -109,6 +110,7 @@ __all__ = [
     "EnergyDecision",
     "EnergyModel",
     "EnergyPolicy",
+    "FifoPolicy",
     "FleetService",
     "FleetWorker",
     "Histogram",

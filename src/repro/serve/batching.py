@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.app.frontend import AnalogFrontEnd
 from repro.app.modules import FRAME_SAMPLES
 from repro.app.system import FpgaReconfigSystem
-from repro.serve.energy import FRONTEND_CLOCK_MHZ, EnergyModel
+from repro.serve.energy import FRONTEND_CLOCK_MHZ, EnergyDecision, EnergyModel
 from repro.serve.faultrng import CounterRng
 from repro.serve.metrics import Metrics
 from repro.serve.respbuf import LaneBuffers
@@ -60,18 +60,44 @@ class Batch:
         return len(self.requests)
 
 
+class FifoPolicy:
+    """Head-of-queue batch formation: serve the pipeline group of the
+    oldest queued request, up to ``max_batch``, after waiting up to
+    ``window_s`` for the batch to fill.  Predicts no energy."""
+
+    def __init__(self, max_batch: int = 16, window_s: float = 0.0):
+        self.max_batch = max_batch
+        self.window_s = window_s
+
+    def decide(
+        self, groups: Dict[Tuple[str, ...], dict], now: float, resident=None
+    ) -> EnergyDecision:
+        pipeline, info = min(groups.items(), key=lambda g: g[1]["head_position"])
+        return EnergyDecision(
+            pipeline=pipeline,
+            target_batch=self.max_batch,
+            wait_until_s=now + self.window_s,
+            estimate=None,
+            queued=info["count"],
+        )
+
+
 class BatchScheduler:
     """Forms batches from the broker by grouping same-pipeline requests.
 
-    ``window_s`` trades latency for batch size: when the queue holds
-    fewer than ``max_batch`` requests the scheduler waits up to the
-    window for more to arrive before dispatching a partial batch.
+    Which group, how large a batch and how long to wait for it to fill
+    is the ``policy``'s decision (its ``decide`` method over the
+    broker's per-pipeline queue summary): :class:`FifoPolicy` (the
+    default) serves the head request's group, an
+    :class:`repro.serve.energy.EnergyPolicy` the group and size that
+    minimize predicted joules/request within the queued requests'
+    deadline slack.  Either way the broker takes the chosen group in
+    per-tank submit order, and ``max_batch`` caps the policy's target
+    (the thermal governor lowers it).
 
-    ``policy`` switches batch formation from FIFO (take the head group)
-    to cost-driven: an :class:`repro.serve.energy.EnergyPolicy` chooses
-    the pipeline group, target batch size and fill wait that minimize
-    predicted joules/request within the queued requests' deadline slack.
-    ``policy=None`` keeps the FIFO path byte-for-byte unchanged.
+    ``window_s`` trades latency for batch size under FIFO: when the
+    queue holds fewer than ``max_batch`` requests the scheduler waits up
+    to the window for more to arrive before dispatching a partial batch.
 
     One caller forms a batch at a time.  Without that, two workers' fill
     windows would each take part of the same arrivals, and a fast
@@ -101,8 +127,7 @@ class BatchScheduler:
         #: already expired when a batch is assembled are answered here —
         #: they never reach a device or count against a batch.
         self.on_expired = on_expired
-        #: Cost-driven batch formation (None = FIFO).
-        self.policy = policy
+        self.policy = policy or FifoPolicy(max_batch, window_s)
         #: Module the executor left resident in the slot after the last
         #: batch this scheduler formed — the energy model's starting
         #: point for reconfiguration charges.  Best-effort under multiple
@@ -129,60 +154,17 @@ class BatchScheduler:
         if not self._form_lock.acquire(timeout=-1 if timeout_s is None else timeout_s):
             return None
         try:
-            if self.policy is not None:
-                return self._next_batch_energy(timeout_s)
-            return self._next_batch_fifo(timeout_s)
+            return self._form_batch(timeout_s)
         finally:
             self._form_lock.release()
 
-    def _next_batch_fifo(self, timeout_s: Optional[float]) -> Optional[Batch]:
-        """FIFO batch formation: the head request's pipeline group, after
-        the optional ``window_s`` wait for a full batch."""
-        window_start = self.broker.clock()
-        if self.window_s > 0:
-            deadline = window_start + self.window_s
-            self.broker.wait_for_depth(self.max_batch, deadline)
-        taken = self.broker.take(
-            self.max_batch,
-            timeout_s=timeout_s,
-            match=lambda head, req: req.pipeline == head.pipeline,
-        )
-        if not taken:
-            return None
-        if self.on_expired is not None:
-            taken = self._shed_expired(taken)
-            if not taken:
-                return None  # every taken request had already expired
-        taken_at = self.broker.clock()
-        batch = Batch(self._allocate_id(), taken[0].pipeline, taken)
-        if self.tracer.enabled:
-            assembled_at = self.broker.clock()
-            for request in taken:
-                if request.trace is not None:
-                    request.trace.add(
-                        "schedule",
-                        window_start,
-                        taken_at,
-                        window_s=self.window_s,
-                        batch_id=batch.batch_id,
-                        batch_size=batch.size,
-                    )
-                    request.trace.add(
-                        "batch_assembly", taken_at, assembled_at, batch_id=batch.batch_id
-                    )
-        self.metrics.inc("batches_formed")
-        self.metrics.observe("batch_size", batch.size)
-        return batch
-
-    def _next_batch_energy(self, timeout_s: Optional[float]) -> Optional[Batch]:
-        """Cost-driven batch formation: peek at the per-pipeline queue
-        summary, let the policy choose group / target size / fill wait,
-        then take exactly that group (per-tank FIFO preserved by the
-        broker's ``select`` contract)."""
+    def _form_batch(self, timeout_s: Optional[float]) -> Optional[Batch]:
+        """Park until work exists, let the policy choose group / target
+        size / fill wait, then take exactly that group."""
         window_start = self.broker.clock()
         deadline = None if timeout_s is None else window_start + timeout_s
-        # Park until work exists (or timeout / close), FIFO-style — but
-        # without taking, so the policy chooses the group.
+        # Park until work exists (or timeout / close) without taking, so
+        # the policy chooses the group.
         while True:
             slice_end = self.broker.clock() + 1.0
             if deadline is not None:
@@ -196,29 +178,22 @@ class BatchScheduler:
                 return None
         groups = self.broker.group_summary()
         now = self.broker.clock()
-        if not groups:
-            # Everything queued is sitting out a retry backoff: the plain
-            # take knows how to sleep until the earliest release (and how
-            # to drain on close), so degrade to head-group batching.
+        decision = (
+            self.policy.decide(groups, now, resident=self._resident) if groups else None
+        )
+        if decision is None:
+            # Everything queued is sitting out a retry backoff: the take
+            # knows how to sleep until the earliest release (and how to
+            # drain on close), then serves the head request's group.
             remaining = None if deadline is None else max(0.0, deadline - now)
-            taken = self.broker.take(
-                self.max_batch,
-                timeout_s=remaining,
-                match=lambda head, req: req.pipeline == head.pipeline,
-            )
-            decision = None
+            taken = self.broker.take(self.max_batch, timeout_s=remaining)
         else:
-            decision = self.policy.decide(groups, now, resident=self._resident)
-            if (
-                decision.wait_until_s > now
-                and decision.target_batch > decision.queued
-            ):
-                # Fill wait, bounded by deadline slack: wake early when
-                # the queue reaches a full batch.
+            target = min(decision.target_batch, self.max_batch)
+            if decision.wait_until_s > now and target > decision.queued:
+                # Fill wait, bounded by the policy: wake early when the
+                # queue reaches a full batch.
                 self.broker.wait_for_depth(self.max_batch, decision.wait_until_s)
-            taken = self.broker.take(
-                decision.target_batch, timeout_s=0.0, select=decision.pipeline
-            )
+            taken = self.broker.take(target, timeout_s=0.0, select=decision.pipeline)
         if not taken:
             return None
         if self.on_expired is not None:
@@ -228,10 +203,8 @@ class BatchScheduler:
         taken_at = self.broker.clock()
         batch = Batch(self._allocate_id(), taken[0].pipeline, taken)
         estimate = (
-            self.policy.model.estimate(
-                batch.pipeline, batch.size, resident=self._resident
-            )
-            if decision is not None
+            self.policy.model.estimate(batch.pipeline, batch.size, resident=self._resident)
+            if decision is not None and decision.estimate is not None
             else None
         )
         if self.tracer.enabled:
@@ -265,13 +238,10 @@ class BatchScheduler:
         self._resident = batch.pipeline[-1]
         self.metrics.inc("batches_formed")
         self.metrics.observe("batch_size", batch.size)
-        if decision is not None:
+        if estimate is not None:
             self.metrics.inc("energy_decisions")
             self.metrics.observe("energy_target_batch", decision.target_batch)
-            if estimate is not None:
-                self.metrics.observe(
-                    "predicted_j_per_request", estimate.joules_per_request
-                )
+            self.metrics.observe("predicted_j_per_request", estimate.joules_per_request)
         return batch
 
     def _shed_expired(

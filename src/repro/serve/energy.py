@@ -405,7 +405,7 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class EnergyDecision:
-    """One scheduling decision of the energy policy."""
+    """One batch-formation decision: which group, how many, how long to wait."""
 
     pipeline: Tuple[str, ...]
     #: Batch size the policy wants to fill up to.
@@ -413,8 +413,9 @@ class EnergyDecision:
     #: Broker-clock deadline until which the scheduler may wait for the
     #: batch to fill (<= now means dispatch immediately).
     wait_until_s: float
-    #: Prediction at the target batch size.
-    estimate: BatchEnergyEstimate
+    #: Prediction at the target batch size; None from a policy that
+    #: predicts no energy (FIFO).
+    estimate: Optional[BatchEnergyEstimate]
     #: Queued requests of the chosen group at decision time.
     queued: int
 

@@ -33,9 +33,11 @@ from repro.serve.batching import (
     BatchExecutor,
     BatchScheduler,
     FaultInjector,
+    FifoPolicy,
     TankStateStore,
 )
 from repro.serve.cache import ArtifactCache, CachingBitstreamGenerator
+from repro.serve.energy import DEFAULT_FILL_WINDOW_S, EnergyModel, EnergyPolicy
 from repro.serve.metrics import Metrics
 from repro.serve.requests import (
     STATUS_FAILED,
@@ -184,8 +186,7 @@ class FleetWorker(threading.Thread):
     def _handle_failed_batch(self, batch: Batch, exc: Exception) -> None:
         """A batch whose execution raised: count it against the breaker,
         retry requests with attempt budget left, fail the rest with their
-        *real* submit→respond latency (the pre-fix code delivered
-        ``latency_s=0.0``, dragging the latency histogram's p50 down)."""
+        real submit→respond latency."""
         self.metrics.inc("worker_errors")
         if self.breaker is not None:
             self.breaker.record_failure()
@@ -346,18 +347,18 @@ class FleetService:
         self.workers: List[FleetWorker] = []
         for worker_id in range(workers):
             self.workers.append(self.build_worker(worker_id))
+        # Built after the workers: the energy policy predicts with the
+        # cost model the executors charge through, read off a live system
+        # (identical across workers — same config, port and cache).
         if policy == "energy":
-            # Built after the workers: the policy predicts with the cost
-            # model the executors charge through, read off a live system
-            # (identical across workers — same config, port and cache).
-            from repro.serve.energy import DEFAULT_FILL_WINDOW_S, EnergyModel, EnergyPolicy
-
             self.scheduler.policy = EnergyPolicy(
                 EnergyModel.from_system(self.workers[0].executor.system),
                 max_batch=self.scheduler.max_batch,
                 fill_window_s=window_s if window_s > 0 else DEFAULT_FILL_WINDOW_S,
                 admission=self.admission,
             )
+        else:
+            self.scheduler.policy = FifoPolicy(self.scheduler.max_batch, window_s)
         if self.thermal is not None:
             self.thermal.bind(self)
         self.supervisor: Optional[WorkerSupervisor] = (
@@ -608,9 +609,7 @@ class FleetService:
         with self._state_lock:
             start = self._start_time
         # No time base yet (nothing submitted or started): report zero
-        # throughput instead of dividing by an epsilon epoch — the pre-fix
-        # code turned a None start into elapsed=1e-9 and reported absurd
-        # requests_per_s.
+        # throughput instead of dividing by an epsilon epoch.
         elapsed = max(1e-9, end - start) if start is not None else 0.0
         reconfigs = snap["counters"].get("reconfigurations", 0)
         avoided = snap["counters"].get("reconfigurations_avoided", 0)

@@ -404,32 +404,24 @@ class RequestBroker:
         self,
         max_n: int,
         timeout_s: Optional[float] = None,
-        match: Optional[Callable[[MeasurementRequest, MeasurementRequest], bool]] = None,
         select: Optional[Tuple[str, ...]] = None,
     ) -> List[MeasurementRequest]:
-        """Pop up to ``max_n`` requests, blocking up to ``timeout_s``.
+        """Pop up to ``max_n`` requests of one pipeline, blocking up to
+        ``timeout_s``.
 
-        The head of the queue is always taken; with ``match`` given, the
-        rest of the queue is scanned and only requests for which
-        ``match(head, candidate)`` holds ride along (FIFO order among the
-        matches is preserved — this is how the batching scheduler groups
-        same-pipeline requests).
-
-        With ``select`` given (mutually exclusive with ``match``), the
-        queue is scanned for requests of exactly that pipeline — the
-        head is *not* forced into the batch, which is how the energy
-        policy serves the group it chose rather than whatever sits at
-        the head.  Two safety rules keep this reordering benign:
+        The queue is scanned for requests of the ``select`` pipeline —
+        the head is *not* forced into the batch, which is how a
+        batch-formation policy serves the group it chose rather than
+        whatever sits at the head.  Two rules keep this benign:
 
         * **Per-tank FIFO** — once a request of some tank is skipped
           (left queued), no later request of the same tank is taken in
           front of it, so each tank's measurements (and its IIR filter
           state) are always processed in submit order.
-        * **Head-group fallback** — when no request of the selected
-          pipeline is takeable, the call degrades to the plain
-          same-pipeline-as-head grouping, so a non-empty queue never
-          yields an empty batch (the policy's view may be stale by the
-          time the take runs).
+        * **Head group** — with ``select=None``, or when no request of
+          the selected pipeline is takeable (the policy's view may be
+          stale by the time the take runs), the head request's pipeline
+          is taken, so a non-empty queue never yields an empty batch.
 
         Timing contract
         ---------------
@@ -448,8 +440,6 @@ class RequestBroker:
         """
         if max_n < 1:
             raise ValueError(f"max_n must be >= 1, got {max_n}")
-        if match is not None and select is not None:
-            raise ValueError("take: match and select are mutually exclusive")
         deadline = None if timeout_s is None else self.clock() + timeout_s
         with self._cond:
             while True:
@@ -462,9 +452,7 @@ class RequestBroker:
                     # (and a blocking take would otherwise spin on them).
                     # Sleep at most until the earliest backoff release —
                     # but never past the caller's deadline: once that is
-                    # hit the timeout contract wins and we return empty
-                    # (the pre-fix code looped here at 100% CPU until a
-                    # backoff released).
+                    # hit the timeout contract wins and we return empty.
                     now = self.clock()
                     if deadline is not None and deadline - now <= 0:
                         return []
@@ -485,33 +473,9 @@ class RequestBroker:
                     if remaining <= 0 or not self._cond.wait(remaining):
                         if not self._queue:
                             return []
-            if select is not None:
-                taken = self._take_selected(select, max_n)
-                if taken:
-                    if self.tracer.enabled:
-                        now = self.clock()
-                        remaining = len(self._queue) + len(self._delayed)
-                        for request in taken:
-                            if request.trace is not None:
-                                request.trace.end("queue", t1=now, depth_after=remaining)
-                    return taken
-                # Selected group gone (stale view): degrade to head-group.
-                match = lambda head, req: req.pipeline == head.pipeline  # noqa: E731
-            head = self._queue.popleft()
-            taken = [head]
-            if match is None:
-                while self._queue and len(taken) < max_n:
-                    taken.append(self._queue.popleft())
-            else:
-                kept: Deque[MeasurementRequest] = deque()
-                while self._queue and len(taken) < max_n:
-                    candidate = self._queue.popleft()
-                    if match(head, candidate):
-                        taken.append(candidate)
-                    else:
-                        kept.append(candidate)
-                kept.extend(self._queue)
-                self._queue = kept
+            taken = self._take_selected(select, max_n) if select is not None else []
+            if not taken:
+                taken = self._take_selected(self._queue[0].pipeline, max_n)
             if self.tracer.enabled:
                 now = self.clock()
                 remaining = len(self._queue) + len(self._delayed)

@@ -8,17 +8,14 @@ from repro.shard.hashring import ConsistentHashRing
 from repro.shard.router import ShardRouter
 from repro.shard.supervisor import ShardSupervisor
 from repro.shard.wire import (
-    MAX_FRAME_BYTES,
     WIRE_VERSION,
     WireError,
     decode,
     encode,
-    read_frame,
     request_from_wire,
     request_to_wire,
     response_from_wire,
     response_to_wire,
-    write_frame,
 )
 
 __all__ = [
@@ -28,12 +25,9 @@ __all__ = [
     "ShardSupervisor",
     "default_start_method",
     "WIRE_VERSION",
-    "MAX_FRAME_BYTES",
     "WireError",
     "encode",
     "decode",
-    "read_frame",
-    "write_frame",
     "request_to_wire",
     "request_from_wire",
     "response_to_wire",

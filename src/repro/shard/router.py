@@ -664,13 +664,3 @@ class ShardRouter:
             else {"enabled": False}
         )
         return snap
-
-    def trace_paths(self) -> List[str]:
-        """Per-shard trace files this configuration writes (empty when
-        tracing is off)."""
-        if not self.config.trace_path:
-            return []
-        return [
-            f"{self.config.trace_path}.shard{shard_id}.jsonl"
-            for shard_id in range(self.config.shards)
-        ]

@@ -9,16 +9,12 @@ restarted worker, and because JSON's shortest-round-trip float encoding
 (``repr``-based since Python 3.1) preserves every measurement bit, which
 the sharded differential oracle depends on for *exact* equality.
 
-Two layers:
-
-* **Envelope** — :func:`encode` / :func:`decode` wrap a message kind and
-  payload dict with the protocol version; unknown versions and malformed
-  envelopes raise :class:`WireError` instead of half-parsing.
-* **Framing** — :func:`write_frame` / :func:`read_frame` add a 4-byte
-  big-endian length prefix for raw byte streams (the future TCP front
-  door).  The in-tree :mod:`multiprocessing` transport uses
-  ``Connection.send_bytes``, which frames on its own, so the shard
-  router ships bare envelopes there.
+:func:`encode` / :func:`decode` wrap a message kind and payload dict
+with the protocol version; unknown versions and malformed envelopes
+raise :class:`WireError` instead of half-parsing.  The transports frame
+envelopes themselves: the shard router ships them with
+``Connection.send_bytes``, the TCP front door one per line
+(:mod:`repro.net.protocol`).
 
 Model translation (:func:`request_to_wire` & co.) is total over the
 serializable fields; the one deliberately dropped field is a request's
@@ -29,17 +25,12 @@ message).
 from __future__ import annotations
 
 import json
-import struct
-from typing import IO, Optional, Tuple
+from typing import Tuple
 
 from repro.serve.requests import MeasurementRequest, MeasurementResponse
 
 #: Protocol version of the envelopes this module emits.
 WIRE_VERSION = 1
-
-#: Hard ceiling on a single frame (a corrupted length prefix must not
-#: allocate gigabytes).
-MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 #: Message kinds the shard transport speaks.
 KIND_HELLO = "hello"
@@ -73,9 +64,6 @@ KNOWN_KINDS = frozenset(
         KIND_ERROR,
     }
 )
-
-_LENGTH = struct.Struct(">I")
-
 
 class WireError(ValueError):
     """Malformed, unknown-version or unknown-kind wire data."""
@@ -128,45 +116,6 @@ def decode(data: bytes) -> Tuple[str, dict]:
     if not isinstance(payload, dict):
         raise WireError(f"{kind} payload must be an object")
     return kind, payload
-
-
-# ------------------------------------------------------------------- framing
-
-
-def write_frame(stream: IO[bytes], data: bytes) -> None:
-    """Write one length-prefixed frame to a byte stream.
-
-    Raises
-    ------
-    WireError
-        When the frame exceeds :data:`MAX_FRAME_BYTES`.
-    """
-    if len(data) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(data)} bytes exceeds cap {MAX_FRAME_BYTES}")
-    stream.write(_LENGTH.pack(len(data)))
-    stream.write(data)
-
-
-def read_frame(stream: IO[bytes]) -> Optional[bytes]:
-    """Read one length-prefixed frame; ``None`` on clean EOF.
-
-    Raises
-    ------
-    WireError
-        On a truncated frame or an impossible length prefix.
-    """
-    prefix = stream.read(_LENGTH.size)
-    if not prefix:
-        return None
-    if len(prefix) < _LENGTH.size:
-        raise WireError("truncated frame length prefix")
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
-    data = stream.read(length)
-    if len(data) < length:
-        raise WireError(f"truncated frame: expected {length} bytes, got {len(data)}")
-    return data
 
 
 # ------------------------------------------------------------ model mapping

@@ -276,7 +276,8 @@ def test_take_select_preserves_per_tank_fifo():
     broker.submit(_req(3, "tankB"))
     taken = broker.take(8, timeout_s=0.0, select=STANDARD_PIPELINE)
     assert [r.request_id for r in taken] == [3]
-    assert [r.request_id for r in broker.take(8, timeout_s=0.0)] == [1, 2]
+    assert [r.request_id for r in broker.take(8, timeout_s=0.0)] == [1]
+    assert [r.request_id for r in broker.take(8, timeout_s=0.0)] == [2]
 
 
 def test_take_select_falls_back_to_head_group():
@@ -288,18 +289,6 @@ def test_take_select_falls_back_to_head_group():
     broker.submit(_req(2, "t1", pipeline=short))
     taken = broker.take(8, timeout_s=0.0, select=STANDARD_PIPELINE)
     assert [r.request_id for r in taken] == [1, 2]
-
-
-def test_take_rejects_match_with_select():
-    broker = RequestBroker(capacity=4)
-    broker.submit(_req(1, "t0"))
-    with pytest.raises(ValueError):
-        broker.take(
-            4,
-            timeout_s=0.0,
-            match=lambda h, r: True,
-            select=STANDARD_PIPELINE,
-        )
 
 
 # --------------------------------------------------------- DeviceMixPlanner

@@ -9,6 +9,7 @@ from repro.app.modules import standard_modules
 from repro.serve import (
     ArtifactCache,
     BrokerFullError,
+    POLICIES,
     FleetService,
     MeasurementRequest,
     RequestBroker,
@@ -334,6 +335,28 @@ def test_one_worker_forms_a_batch_at_a_time():
     assert (sizes["count"], sizes["max"]) == (1, 4)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_batches_keep_one_tanks_submit_order(policy):
+    """Grouping by pipeline never serves a tank's later request before
+    its earlier one, whatever the policy: the tank's filter state
+    depends on submit order."""
+    short = ("frontend", "amp_phase")
+    service = FleetService(workers=1, policy=policy)
+    for i, pipeline in enumerate(
+        [STANDARD_PIPELINE, short, STANDARD_PIPELINE, STANDARD_PIPELINE]
+    ):
+        service.submit(
+            MeasurementRequest(request_id=i, tank_id="t", level=0.5, pipeline=pipeline)
+        )
+    service.start()
+    try:
+        assert service.await_responses(4, timeout_s=60)
+    finally:
+        assert service.shutdown()
+    batch_of = {r.request_id: r.batch_id for r in service.responses()}
+    assert [batch_of[i] for i in range(4)] == sorted(batch_of[i] for i in range(4))
+
+
 # ----------------------------------------------------------- building blocks
 
 
@@ -354,12 +377,13 @@ def test_broker_groups_same_pipeline_requests():
         [STANDARD_PIPELINE, short, STANDARD_PIPELINE, STANDARD_PIPELINE]
     ):
         broker.submit(
-            MeasurementRequest(request_id=i, tank_id="t", level=0.5, pipeline=pipeline)
+            MeasurementRequest(
+                request_id=i, tank_id=f"t{i}", level=0.5, pipeline=pipeline
+            )
         )
-    same = lambda head, req: req.pipeline == head.pipeline
-    first = broker.take(4, timeout_s=0.1, match=same)
+    first = broker.take(4, timeout_s=0.1)
     assert [r.request_id for r in first] == [0, 2, 3]
-    second = broker.take(4, timeout_s=0.1, match=same)
+    second = broker.take(4, timeout_s=0.1)
     assert [r.request_id for r in second] == [1]
 
 

@@ -6,8 +6,6 @@ wire round-trip exactness, merged metrics arithmetic, and the zero-loss
 kill/restart path, none of which need volume.
 """
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +24,10 @@ from repro.shard import (
     WireError,
     decode,
     encode,
-    read_frame,
     request_from_wire,
     request_to_wire,
     response_from_wire,
     response_to_wire,
-    write_frame,
 )
 from repro.shard.wire import (
     KIND_RESPONSE,
@@ -117,24 +113,6 @@ def test_malformed_request_payload_raises_wire_error():
         )  # level out of range: model validation re-runs on decode
 
 
-def test_frame_roundtrip_eof_and_truncation():
-    stream = io.BytesIO()
-    write_frame(stream, b"alpha")
-    write_frame(stream, b"")
-    stream.seek(0)
-    assert read_frame(stream) == b"alpha"
-    assert read_frame(stream) == b""
-    assert read_frame(stream) is None  # clean EOF
-
-    stream = io.BytesIO(b"\x00\x00\x00\x10onlyfour")
-    with pytest.raises(WireError):
-        read_frame(stream)  # truncated body
-    with pytest.raises(WireError):
-        read_frame(io.BytesIO(b"\x00\x00"))  # truncated prefix
-    with pytest.raises(WireError):
-        read_frame(io.BytesIO(b"\xff\xff\xff\xff"))  # absurd length prefix
-
-
 # ------------------------------------------------------- wire codec fuzzing
 #
 # The differential oracle compares shard output to a single-process run
@@ -180,21 +158,11 @@ _fuzz_responses = st.builds(
 )
 
 
-def _frame_roundtrip(data: bytes) -> bytes:
-    """Push ``data`` through the length-prefixed stream layer."""
-    stream = io.BytesIO()
-    write_frame(stream, data)
-    stream.seek(0)
-    out = read_frame(stream)
-    assert read_frame(stream) is None  # nothing left over
-    return out
-
-
 @settings(max_examples=75, deadline=None)
 @given(request=_fuzz_requests)
 def test_fuzz_submit_envelope_roundtrips_bit_exactly(request):
     data = encode(KIND_SUBMIT, {"request": request_to_wire(request)})
-    kind, payload = decode(_frame_roundtrip(data))
+    kind, payload = decode(data)
     assert kind == KIND_SUBMIT
     assert request_from_wire(payload["request"]) == request
 
@@ -205,7 +173,7 @@ def test_fuzz_restore_envelope_roundtrips_bit_exactly(requests):
     data = encode(
         KIND_RESTORE, {"requests": [request_to_wire(r) for r in requests]}
     )
-    kind, payload = decode(_frame_roundtrip(data))
+    kind, payload = decode(data)
     assert kind == KIND_RESTORE
     assert [request_from_wire(r) for r in payload["requests"]] == requests
 
@@ -216,27 +184,20 @@ def test_fuzz_responses_envelope_roundtrips_bit_exactly(responses):
     data = encode(
         KIND_RESPONSE, {"responses": [response_to_wire(r) for r in responses]}
     )
-    kind, payload = decode(_frame_roundtrip(data))
+    kind, payload = decode(data)
     assert kind == KIND_RESPONSE
     assert [response_from_wire(r) for r in payload["responses"]] == responses
 
 
 @settings(max_examples=75, deadline=None)
 @given(request=_fuzz_requests, data=st.data())
-def test_fuzz_truncated_frames_raise_instead_of_half_parsing(request, data):
-    """Any strict prefix of a framed message either reads as clean EOF
-    (zero bytes) or raises ``WireError`` — ``read_frame`` never hands
-    back a partial frame for ``decode`` to misinterpret."""
-    stream = io.BytesIO()
-    write_frame(stream, encode(KIND_SUBMIT, {"request": request_to_wire(request)}))
-    raw = stream.getvalue()
+def test_fuzz_truncated_envelopes_raise_instead_of_half_parsing(request, data):
+    """Any strict prefix of an envelope raises ``WireError`` — ``decode``
+    never hands back a partial message."""
+    raw = encode(KIND_SUBMIT, {"request": request_to_wire(request)})
     cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
-    truncated = io.BytesIO(raw[:cut])
-    if cut == 0:
-        assert read_frame(truncated) is None
-    else:
-        with pytest.raises(WireError):
-            read_frame(truncated)
+    with pytest.raises(WireError):
+        decode(raw[:cut])
 
 
 @settings(max_examples=100, deadline=None)
