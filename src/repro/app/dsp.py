@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -46,30 +46,68 @@ def goertzel_basis(n: int, frequency_hz: float, sample_rate_hz: float) -> np.nda
     return np.exp(-1j * w * np.arange(n))
 
 
-def goertzel(samples: np.ndarray, frequency_hz: float, sample_rate_hz: float) -> complex:
-    """Single-bin DFT at ``frequency_hz``, evaluated in closed form as a
-    dot product against the :func:`goertzel_basis` exponentials.
+def goertzel_mac(
+    rows: np.ndarray,
+    frequency_hz: float,
+    sample_rate_hz: float,
+    basis: Callable[[int, float, float], np.ndarray] = goertzel_basis,
+) -> np.ndarray:
+    """Single-bin DFT of every row of a ``(B, N)`` sample array, summed
+    the way the amp_phase module's MAC against ROM sums it.
 
-    Returns the complex phasor ``sum x[n] * exp(-j*2*pi*f*n/fs)``,
-    normalised by ``N/2`` so a full-scale sine of amplitude A yields
-    magnitude ~A.  Mathematically identical to the classic
-    :func:`goertzel_recursive` formulation (they agree to ~1e-13
-    relative); the dot-product form is what the hardware amp_phase
-    module's MAC-against-ROM datapath actually computes, and it
-    vectorizes.
+    Row ``r`` yields ``sum x[r, n] * exp(-j*2*pi*f*n/fs)`` divided by
+    ``N/2``, where the sum is a strict left-to-right accumulation over
+    ``n``: the last column of ``np.add.accumulate``, whose order is fixed
+    by the definition of a running sum, not by the BLAS build or the CPU
+    kernel it picks.  Every row therefore equals, bit for bit and for
+    any B, a plain Python loop ``re += x*c; im += x*s`` over the basis's
+    real and imaginary parts, followed by the same division.
+
+    ``basis(n, f, fs)`` supplies the :func:`goertzel_basis` array; the
+    batch kernels pass a cached one.
 
     Raises
     ------
     ValueError
-        On an empty input or a non-positive sample rate.
+        On a non-2-D input, zero-length rows, a non-positive sample rate
+        or a non-finite sample.  The checks run before an empty batch
+        returns, so a degenerate configuration fails with or without
+        rows in flight.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"rows must be 2-D (B, N), got shape {x.shape}")
+    n = x.shape[1]
+    if n == 0:
         raise ValueError("goertzel of empty input")
     if sample_rate_hz <= 0:
         raise ValueError(f"sample rate must be positive, got {sample_rate_hz}")
-    basis = goertzel_basis(x.size, frequency_hz, sample_rate_hz)
-    return complex(np.dot(x, basis)) / (x.size / 2.0)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("goertzel of non-finite samples")
+    products = x * basis(n, frequency_hz, sample_rate_hz)
+    return np.add.accumulate(products, axis=1)[:, -1] / (n / 2.0)
+
+
+def goertzel(samples: np.ndarray, frequency_hz: float, sample_rate_hz: float) -> complex:
+    """Single-bin DFT at ``frequency_hz`` of one sample block: the
+    :func:`goertzel_mac` projection of a single row.
+
+    Returns the complex phasor ``sum x[n] * exp(-j*2*pi*f*n/fs)``,
+    summed strictly left to right over ``n`` and normalised by ``N/2``
+    so a full-scale sine of amplitude A yields magnitude ~A.  The sum
+    order is fixed, so the result does not depend on the BLAS build.
+    Mathematically identical to the classic :func:`goertzel_recursive`
+    formulation (they agree to ~1e-13 relative); the MAC form is what
+    the hardware amp_phase module's datapath computes.
+
+    Raises
+    ------
+    ValueError
+        On an empty input, a non-positive sample rate or a non-finite
+        sample.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    return complex(goertzel_mac(x[None], frequency_hz, sample_rate_hz)[0])
 
 
 def goertzel_recursive(

@@ -2,22 +2,15 @@
 
 Each kernel processes one pipeline stage for a whole batch and returns
 values bit-identical to running the scalar module behaviours
-(:mod:`repro.app.modules`) request by request.  Where full vectorization
-would change a rounding, the kernel deliberately keeps that op scalar:
+(:mod:`repro.app.modules`) request by request:
 
-* The Goertzel projection defaults to a per-row ``np.dot`` against the
-  shared cached basis — exactly the code path of
-  :func:`repro.app.dsp.goertzel`.  The single ``(B, N) @ (N,)`` matmul
-  (and the fused C kernel) are typically *not* bit-identical because
-  BLAS blocks and reassociates the accumulation (~1e-16 relative), so
-  they are only used when the :func:`goertzel_fast_path` runtime probe
-  proves them exact on the running platform.
-* The capacitance solve vectorizes the transcendental part (``np.exp`` is
-  elementwise bit-identical to ``cmath.exp``) but performs the complex
-  multiply/divide chain with Python complex scalars: NumPy's complex
-  product and Smith-style division round differently at the last ulp,
-  and a last-ulp shift across a fixed-point quantisation boundary would
-  surface as a scalar/vector divergence in the verifylab oracle.
+* The Goertzel projection is one strict left-to-right MAC shared with
+  the reference: :func:`batch_goertzel` runs
+  :func:`repro.app.dsp.goertzel_mac` over the whole batch against the
+  cached basis, so the batch and the scalar path are one definition.
+* The capacitance solve runs :func:`repro.app.dsp.capacity_from_phasors`
+  per lane (the complex divide chain would round differently in NumPy)
+  and quantises the batch once.
 * All real elementwise arithmetic (level linearisation, IIR update,
   fixed-point rounding) vectorizes exactly and does.
 """
@@ -25,7 +18,7 @@ would change a rounding, the kernel deliberately keeps that op scalar:
 from __future__ import annotations
 
 import cmath
-import math
+import functools
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,61 +34,6 @@ from repro.app.tank import MeasurementCircuit
 from repro.kernels import native
 from repro.kernels.cache import ArtifactCache, cached_goertzel_basis
 
-#: Cached result of :func:`goertzel_fast_path` (None = not probed yet).
-_GOERTZEL_PATH: Optional[str] = None
-
-
-def _rowwise_goertzel(arr: np.ndarray, basis: np.ndarray, half: float) -> np.ndarray:
-    """The reference projection: scalar ``np.dot`` per row — exactly the
-    code path of :func:`repro.app.dsp.goertzel`."""
-    return np.array(
-        [complex(np.dot(arr[i], basis)) / half for i in range(arr.shape[0])],
-        dtype=np.complex128,
-    )
-
-
-def goertzel_fast_path(refresh: bool = False) -> str:
-    """Which Goertzel projection the batch kernel uses on this platform:
-    ``"matmul"`` (one BLAS ``(B, N) @ (N,)`` product), ``"native"`` (the
-    sequential-accumulation C kernel) or ``"scalar"`` (per-row ``np.dot``,
-    always exact).
-
-    A faster formulation is only eligible if a runtime probe shows it
-    reproduces the per-row reference **bit-for-bit** over a spread of
-    shapes: whether a vectorized dot reassociates the accumulation is a
-    property of the BLAS build, not of numpy, so it must be measured
-    where the code runs.  With the default scipy-openblas wheels both
-    fast candidates reassociate and the probe selects ``"scalar"``; on a
-    reference-BLAS or no-BLAS numpy the matmul typically passes.  The
-    differential tests pin the outcome either way: any divergence the
-    probe misses fails the scalar/vector oracle loudly.
-
-    The result is probed once and cached; ``refresh=True`` re-probes
-    (tests use this to cover all three dispatch arms).
-    """
-    global _GOERTZEL_PATH
-    if _GOERTZEL_PATH is not None and not refresh:
-        return _GOERTZEL_PATH
-    rng = np.random.RandomState(0x5EED)
-    shapes = ((1, 64), (2, 64), (3, 480), (5, 128), (16, 1000))
-    bases = [(1000.0, 48000.0), (5000.0, 1.0e6)]
-    matmul_ok = True
-    native_ok = native.native_available()
-    for b, n in shapes:
-        arr = rng.standard_normal((b, n)) * rng.uniform(0.5, 2.0)
-        half = n / 2.0
-        for f, fs in bases:
-            basis = dsp.goertzel_basis(n, f, fs)
-            ref = _rowwise_goertzel(arr, basis, half)
-            if matmul_ok and not np.array_equal((arr @ basis) / half, ref):
-                matmul_ok = False
-            if native_ok:
-                got = native.goertzel_rows_batch(arr, basis, half)
-                if got is None or not np.array_equal(got, ref):
-                    native_ok = False
-    _GOERTZEL_PATH = "matmul" if matmul_ok else ("native" if native_ok else "scalar")
-    return _GOERTZEL_PATH
-
 
 def batch_goertzel(
     blocks: np.ndarray,
@@ -103,14 +41,10 @@ def batch_goertzel(
     sample_rate_hz: float,
     cache: Optional[ArtifactCache] = None,
 ) -> np.ndarray:
-    """Single-bin DFT of every row of a ``(B, N)`` sample array.
-
-    Returns a complex ``(B,)`` array whose elements are bit-identical to
-    ``dsp.goertzel(row, f, fs)`` per row.  An empty batch yields an empty
-    array — but only after the same argument validation the scalar path
-    performs, so a degenerate configuration (zero-length rows, a
-    non-positive sample rate) raises identically whether or not any
-    request happens to be in flight.
+    """Single-bin DFT of every row of a ``(B, N)`` sample array: the
+    reference :func:`repro.app.dsp.goertzel_mac` projection against the
+    cached basis, so each element equals ``dsp.goertzel(row, f, fs)`` bit
+    for bit and the argument checks are the scalar path's own.
 
     Raises
     ------
@@ -118,28 +52,10 @@ def batch_goertzel(
         On a non-2-D input, zero-length rows, a non-positive sample rate,
         or non-finite samples.
     """
-    arr = np.asarray(blocks, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"blocks must be 2-D (B, N), got shape {arr.shape}")
-    b, n = arr.shape
-    if n == 0:
-        raise ValueError("goertzel of empty input")
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample rate must be positive, got {sample_rate_hz}")
-    if b == 0:
-        return np.empty(0, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("goertzel of non-finite samples")
-    basis = cached_goertzel_basis(n, frequency_hz, sample_rate_hz, cache)
-    half = n / 2.0
-    path = goertzel_fast_path()
-    if path == "matmul":
-        return (arr @ basis) / half
-    if path == "native":
-        out = native.goertzel_rows_batch(arr, basis, half)
-        if out is not None:
-            return out
-    return _rowwise_goertzel(arr, basis, half)
+    return dsp.goertzel_mac(
+        blocks, frequency_hz, sample_rate_hz,
+        basis=functools.partial(cached_goertzel_basis, cache=cache),
+    )
 
 
 def batch_amp_phase(
@@ -210,25 +126,11 @@ def batch_capacity(
         raise ValueError(f"phasors must be (B, 4), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite phasor in batch")
-    m_amp, m_ph, r_amp, r_ph = arr.T
-    if np.any(r_amp <= 0):
-        raise ValueError("reference channel amplitude is zero")
-    g = (m_amp / r_amp) * np.exp(1j * (m_ph - r_ph))
-    href = complex(circuit.reference_transfer(frequency_hz))
-    omega = 2.0 * math.pi * frequency_hz
-    out = np.empty(arr.shape[0], dtype=np.float64)
-    for i in range(arr.shape[0]):
-        h = complex(g[i]) * href
-        denominator = 1.0 - h
-        if abs(denominator) < 1e-9:
-            raise ValueError(
-                f"degenerate transfer {h}: tank looks like an open circuit"
-            )
-        z = circuit.r_series_ohm * h / denominator
-        if z == 0:
-            raise ValueError("degenerate transfer: tank looks like a short circuit")
-        out[i] = (1.0 / z).imag / omega * 1e12
-    return dsp.quantize_array(out, frac_bits)
+    c_pf = [
+        dsp.capacity_from_phasors(m_amp, m_ph, r_amp, r_ph, circuit, frequency_hz)
+        for m_amp, m_ph, r_amp, r_ph in arr.tolist()
+    ]
+    return dsp.quantize_array(c_pf, frac_bits)
 
 
 def batch_filter_update(

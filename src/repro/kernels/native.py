@@ -19,17 +19,12 @@ unavailable and callers fall back to a fused pure-Python loop
 (:func:`adc_chain_batch` handles the dispatch), which produces identical
 bits, just slower.
 
-Besides the converter chain the library fuses two more stages:
-
-* :func:`level_filter_chain_batch` — the whole ``filter`` stage
-  (linearise, per-tank IIR chain, fixed-point quantise) in one pass,
-  bit-exact with the numpy rounds path by construction (identical scalar
-  op sequence per lane, ``rint`` = round-half-even = ``np.rint``,
-  power-of-two scale ops exact).
-* :func:`goertzel_rows_batch` — per-row Goertzel projection with
-  sequential accumulation; **not** guaranteed bit-exact against BLAS
-  ``np.dot`` and therefore gated behind the runtime exactness probe in
-  :mod:`repro.kernels.dsp_kernels`.
+Besides the converter chain the library fuses one more stage:
+:func:`level_filter_chain_batch` runs the whole ``filter`` stage
+(linearise, per-tank IIR chain, fixed-point quantise) in one pass,
+bit-exact with the numpy rounds path by construction (identical scalar
+op sequence per lane, ``rint`` = round-half-even = ``np.rint``,
+power-of-two scale ops exact).
 """
 
 from __future__ import annotations
@@ -122,25 +117,6 @@ int level_filter_chain(const double* c_pf, const long long* slot, long n,
     }
     return 0;
 }
-
-/* Per-row Goertzel projection: out[2r], out[2r+1] = re, im of
- * ``dot(x[r], basis) / half`` with plain sequential accumulation.  Only
- * used when the runtime exactness probe (kernels.dsp_kernels) shows it
- * reproduces ``np.dot`` bit-for-bit on this platform — vectorized BLAS
- * dots use multi-accumulator orders a sequential loop cannot match. */
-void goertzel_rows(const double* x, long b, long n, const double* basis_re,
-                   const double* basis_im, double half, double* out) {
-    for (long r = 0; r < b; r++) {
-        const double* xi = x + r * n;
-        double re = 0.0, im = 0.0;
-        for (long i = 0; i < n; i++) {
-            re += xi[i] * basis_re[i];
-            im += xi[i] * basis_im[i];
-        }
-        out[2 * r] = re / half;
-        out[2 * r + 1] = im / half;
-    }
-}
 """
 
 _lock = threading.Lock()
@@ -199,16 +175,6 @@ def _compile_and_load() -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_double),
     ]
     lib.level_filter_chain.restype = ctypes.c_int
-    lib.goertzel_rows.argtypes = [
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.c_long,
-        ctypes.c_long,
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.c_double,
-        ctypes.POINTER(ctypes.c_double),
-    ]
-    lib.goertzel_rows.restype = None
     return lib
 
 
@@ -373,32 +339,3 @@ def level_filter_chain_batch(
         return None
     return out
 
-
-def goertzel_rows_batch(
-    blocks: np.ndarray, basis: np.ndarray, half: float
-) -> Optional[np.ndarray]:
-    """Sequential-accumulation Goertzel projection of every row; None
-    when the native library is unavailable.  Bit-exactness against the
-    per-row ``np.dot`` reference is platform-dependent — callers gate
-    this path behind the runtime exactness probe."""
-    lib = load_native()
-    if lib is None:
-        return None
-    x = np.ascontiguousarray(blocks, dtype=np.float64)
-    b, n = x.shape
-    basis_re = np.ascontiguousarray(basis.real, dtype=np.float64)
-    basis_im = np.ascontiguousarray(basis.imag, dtype=np.float64)
-    out = np.empty((b, 2), dtype=np.float64)
-    lib.goertzel_rows(
-        x.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        b,
-        n,
-        basis_re.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        basis_im.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        half,
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-    )
-    z = np.empty(b, dtype=np.complex128)
-    z.real = out[:, 0]
-    z.imag = out[:, 1]
-    return z

@@ -25,7 +25,6 @@ from repro.kernels import (
     native_status,
 )
 from repro.kernels.cache import ArtifactCache
-from repro.kernels.dsp_kernels import goertzel_fast_path
 from repro.kernels.native import DISABLE_ENV, _adc_chain_python, native_available
 from repro.app.system import SystemConfig
 from repro.serve import FleetService, synthetic_load
@@ -77,17 +76,49 @@ def test_batch_goertzel_empty_batch():
     assert out.shape == (0,) and out.dtype == np.complex128
 
 
-def test_batch_goertzel_single_lane_bit_equal():
-    row = tones(1, 512)[0]
-    out = batch_goertzel(row[None, :], TONE, RATE, cache=ArtifactCache(4))
-    assert out[0] == dsp.goertzel(row, TONE, RATE)  # exact, not approx
+def python_mac(row, f, fs):
+    """The amp_phase module's MAC against ROM in plain Python floats:
+    one left-to-right accumulation per part, then the ``N/2`` scale."""
+    basis = dsp.goertzel_basis(len(row), f, fs)
+    re = im = 0.0
+    for x, c, s in zip(row.tolist(), basis.real.tolist(), basis.imag.tolist()):
+        re += x * c
+        im += x * s
+    half = len(row) / 2.0
+    return complex(re / half, im / half)
 
 
-def test_batch_goertzel_many_lanes_bit_equal():
-    blocks = tones(5, 256, seed=9)
+def tail_view(b, n):
+    """Rows that are the tail of longer rows, as ``sample_cycle``'s
+    ``[-frame_samples:]`` slice takes them: a non-contiguous block."""
+    view = tones(b, n + 37, seed=n)[:, -n:]
+    assert not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        pytest.param(tones(1, 1), id="1x1"),
+        pytest.param(tones(1, 64), id="1x64"),
+        pytest.param(tones(1, 512), id="1x512"),
+        pytest.param(tones(3, 480, seed=3), id="3x480"),
+        pytest.param(tones(5, 256, seed=9), id="5x256"),
+        pytest.param(tones(16, 512, seed=16), id="16x512"),
+        pytest.param(tones(7, 1024, seed=7)[:, ::2], id="7x512-strided"),
+        pytest.param(tail_view(3, 480), id="3x480-tail"),
+    ],
+)
+def test_goertzel_is_a_left_to_right_mac(blocks):
+    """``dsp.goertzel`` and every row of ``batch_goertzel`` equal a plain
+    left-to-right float MAC bit for bit: the sum order is the module's,
+    not whatever order a BLAS build picks."""
     out = batch_goertzel(blocks, TONE, RATE, cache=ArtifactCache(4))
-    for i in range(5):
-        assert out[i] == dsp.goertzel(blocks[i], TONE, RATE)
+    assert out.shape == (blocks.shape[0],)
+    for i, row in enumerate(blocks):
+        expected = python_mac(row, TONE, RATE)
+        assert dsp.goertzel(row, TONE, RATE) == expected  # exact, not approx
+        assert out[i] == expected
 
 
 def test_batch_goertzel_guards():
@@ -114,30 +145,6 @@ def test_batch_goertzel_validates_before_empty_return():
     assert out.shape == (0,) and out.dtype == np.complex128
 
 
-def test_goertzel_fast_path_probe_is_cached_and_valid():
-    path = goertzel_fast_path(refresh=True)
-    assert path in ("matmul", "native", "scalar")
-    assert goertzel_fast_path() == path  # cached, no re-probe
-
-
-def test_goertzel_fast_path_scalar_when_native_disabled(monkeypatch):
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    path = goertzel_fast_path(refresh=True)
-    assert path in ("matmul", "scalar")  # native cannot win without the lib
-    monkeypatch.delenv(DISABLE_ENV)
-    goertzel_fast_path(refresh=True)  # restore the real probe result
-
-
-def test_batch_goertzel_bit_equal_whatever_the_path():
-    """Whichever projection the probe picked on this platform, the kernel
-    stays bit-identical to the scalar reference."""
-    for b, n in ((1, 64), (3, 480), (7, 512)):
-        blocks = tones(b, n, seed=b)
-        out = batch_goertzel(blocks, TONE, RATE, cache=ArtifactCache(4))
-        for i in range(b):
-            assert out[i] == dsp.goertzel(blocks[i], TONE, RATE)
-
-
 # -------------------------------------------------------- batch_amp_phase
 
 
@@ -148,6 +155,21 @@ def test_batch_amp_phase_matches_scalar_module():
     for i in range(3):
         scalar = modules["amp_phase"].behavior(meas[i], ref[i], RATE, TONE)
         assert out[i] == scalar  # tuple equality, bit for bit
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("path", ["module", "batch"])
+def test_amp_phase_rejects_non_finite_samples_alike(path, bad):
+    """A non-finite sample fails with the same error on the reference
+    module and on the batch kernel."""
+    meas, ref = tones(2, 64, seed=1), tones(2, 64, seed=2)
+    meas[1, 5] = bad
+    with pytest.raises(ValueError, match="^goertzel of non-finite samples$"):
+        if path == "module":
+            modules = standard_modules(CIRCUIT, TONE)
+            modules["amp_phase"].behavior(meas[1], ref[1], RATE, TONE)
+        else:
+            batch_amp_phase(meas, ref, RATE, TONE, cache=ArtifactCache(4))
 
 
 def test_batch_amp_phase_size_mismatch():
