@@ -60,7 +60,6 @@ def _serve_scenario(requests, *, seed, circuit, max_batch, noise_rms,
         workers=1,
         max_batch=max_batch,
         queue_capacity=len(requests) + 16,
-        batched=True,
         seed=seed,
         noise_rms=noise_rms,
         corrector=corrector,
@@ -160,8 +159,7 @@ def _p99(state: dict) -> float:
 
 def run_priority() -> dict:
     service = FleetService(
-        workers=1, max_batch=4, queue_capacity=BURST_REQUESTS + 64,
-        batched=True, seed=0,
+        workers=1, max_batch=4, queue_capacity=BURST_REQUESTS + 64, seed=0
     )
     service.start()
     rid = 0

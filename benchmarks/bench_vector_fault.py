@@ -35,7 +35,6 @@ def serve() -> dict:
         workers=1,
         max_batch=MAX_BATCH,
         queue_capacity=N_REQUESTS + 16,
-        batched=True,
         seed=SEED,
         fault_injector=FaultInjector(
             RATE, seed=SEED, burst=BURST, retry_rate=RETRY_RATE

@@ -8,21 +8,28 @@ deadlines and backpressure, grouped into same-pipeline batches so the
 slot is reconfigured once per stage per batch (not once per stage per
 request), and partial bitstreams are generated once and shared through
 an LRU artifact cache.  A transient-fault run shows the SEU
-scrub-and-retry path.
+scrub-and-retry path.  Per-request serving is the same service at
+``max_batch=1``.
 
-Run:  python examples/fleet_service.py
+Run:  python examples/fleet_service.py [TRACE_FILE]
+
+Given ``TRACE_FILE``, the batched run records its request spans there
+as JSONL; ``repro trace-report TRACE_FILE`` renders them.
 """
 
+import sys
+
 from repro.serve import FleetService, synthetic_load
+from repro.trace import JsonlExporter, TraceSink, Tracer
 
 
-def serve_fleet(batched: bool, fault_rate: float = 0.0) -> dict:
+def serve_fleet(max_batch: int, fault_rate: float = 0.0, tracer=None) -> dict:
     service = FleetService(
         workers=2,
-        max_batch=8,
-        batched=batched,
+        max_batch=max_batch,
         fault_rate=fault_rate,
         seed=0,
+        tracer=tracer,
     ).start()
     accepted, rejected = service.submit_many(synthetic_load(24, n_tanks=6))
     assert not rejected, "queue sized for the whole burst"
@@ -31,12 +38,18 @@ def serve_fleet(batched: bool, fault_rate: float = 0.0) -> dict:
     return service.metrics_snapshot()
 
 
-def main() -> None:
+def main(trace_file=None) -> None:
+    tracer = None
+    if trace_file:
+        tracer = Tracer(sink=TraceSink(exporter=JsonlExporter(trace_file)))
     print("serving 24 measurements across 6 tanks on 2 simulated FPGAs...\n")
     snapshots = {
-        "per-request": serve_fleet(batched=False),
-        "batched": serve_fleet(batched=True),
+        "per-request": serve_fleet(max_batch=1),
+        "batched": serve_fleet(max_batch=8, tracer=tracer),
     }
+    if tracer is not None:
+        tracer.close()
+        print(f"traces written to {trace_file}\n")
 
     header = f"{'metric':<24}" + "".join(f"{m:>14}" for m in snapshots)
     print(header)
@@ -61,7 +74,7 @@ def main() -> None:
     )
 
     print("\nnow with SEU faults on every first attempt (rate=1.0)...")
-    faulty = serve_fleet(batched=True, fault_rate=1.0)
+    faulty = serve_fleet(max_batch=8, fault_rate=1.0)
     counters = faulty["counters"]
     print(
         f"faults injected {counters['faults_injected']}, "
@@ -72,4 +85,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else None)

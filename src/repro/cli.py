@@ -7,8 +7,6 @@ Exposes the headline analyses as subcommands::
     repro sizing                # Table-1 style resources + device chain
     repro parflow               # the Section-4.3 power-aware PAR flow
     repro recover               # fault injection / recovery demo
-    repro serve-bench           # fleet serving: batched vs per-request
-                                #   (--shards N serves batched mode sharded)
     repro serve --listen H:P    # TCP front door (drains on SIGTERM;
                                 #   quota knobs: --quota-rps --max-inflight)
     repro net-load              # loadgen v2: replay a traffic shape
@@ -142,169 +140,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(f"detected: {'; '.join(event.violations)}")
     print(f"recovered in {event.recovery_time_s * 1e3:.2f} ms; "
           f"level after recovery: {result.level_measured:.3f}")
-    return 0
-
-
-#: Fixed empty-histogram shape (mirrors ``Histogram.summary()``), so the
-#: renderers below never KeyError on a run that observed nothing.
-_EMPTY_HISTOGRAM = {"count": 0, "mean": 0.0, "min": None, "max": None, "p50": None, "p95": None}
-
-
-def _hist(snapshot: dict, name: str) -> dict:
-    """A histogram summary from a metrics snapshot, empty-shaped when the
-    histogram never observed anything (zero requests served)."""
-    return snapshot.get("histograms", {}).get(name) or dict(_EMPTY_HISTOGRAM)
-
-
-def _quantile_ms(snapshot: dict, name: str, key: str) -> str:
-    """Format one histogram quantile as milliseconds; ``-`` when there
-    were no observations (never divide by or format None)."""
-    value = _hist(snapshot, name).get(key)
-    return "-" if value is None else f"{value * 1e3:.0f} ms"
-
-
-def _run_serve_mode(args: argparse.Namespace, batched: bool, tracer=None) -> dict:
-    from repro.serve import FleetService, synthetic_load
-
-    service = FleetService(
-        workers=args.workers,
-        max_batch=args.max_batch,
-        queue_capacity=max(args.requests + 16, 64),
-        batched=batched,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-        tracer=tracer,
-        policy=args.policy,
-        window_s=args.window if batched else 0.0,
-    ).start()
-    requests = synthetic_load(
-        args.requests,
-        n_tanks=args.tanks,
-        popularity=args.popularity,
-        zipf_exponent=args.zipf_exponent,
-        seed=args.seed,
-    )
-    accepted, rejected = service.submit_many(requests)
-    service.await_responses(accepted, timeout_s=args.timeout)
-    service.shutdown()
-    snapshot = service.metrics_snapshot()
-    snapshot["service"]["rejected"] = len(rejected)
-    return snapshot
-
-
-def _run_serve_sharded(args: argparse.Namespace) -> dict:
-    from repro.serve import synthetic_load
-    from repro.shard import ShardConfig, ShardRouter
-
-    config = ShardConfig(
-        shards=args.shards,
-        workers_per_shard=args.workers,
-        max_batch=args.max_batch,
-        queue_capacity=max(args.requests + 16, 64),
-        batched=True,
-        fault_rate=args.fault_rate,
-        seed=args.seed,
-        trace_path=args.trace,
-    )
-    router = ShardRouter(config).start()
-    requests = synthetic_load(
-        args.requests,
-        n_tanks=args.tanks,
-        popularity=args.popularity,
-        zipf_exponent=args.zipf_exponent,
-        seed=args.seed,
-    )
-    accepted, rejected = router.submit_many(requests)
-    router.await_responses(accepted, timeout_s=args.timeout)
-    # Snapshot over the live control channel (merged across shards),
-    # before shutdown time is charged to the elapsed clock.
-    snapshot = router.metrics_snapshot()
-    router.shutdown()
-    snapshot["service"]["rejected"] = len(rejected)
-    return snapshot
-
-
-def _run_serve_modes(args: argparse.Namespace, modes: List[str], tracer) -> dict:
-    """One snapshot per mode; ``sharded`` routes through the shard layer
-    (the per-request baseline always runs in-process)."""
-    snapshots = {}
-    for mode in modes:
-        if mode == "sharded":
-            snapshots[mode] = _run_serve_sharded(args)
-        else:
-            snapshots[mode] = _run_serve_mode(args, batched=(mode == "batched"), tracer=tracer)
-    return snapshots
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    tracer = None
-    # With --shards the shard workers record their own per-shard trace
-    # files; the in-process tracer only serves the unsharded modes.
-    if args.trace and not args.shards:
-        from repro.trace import JsonlExporter, TraceSink, Tracer
-
-        tracer = Tracer(
-            sink=TraceSink(capacity=4096, exporter=JsonlExporter(args.trace))
-        )
-    batched_mode = "sharded" if args.shards else "batched"
-    modes = [batched_mode] if args.batched_only else ["per-request", batched_mode]
-    header = {
-        "policy": args.policy,
-        "shards": args.shards,
-        "workers": args.workers,
-        "requests": args.requests,
-        "tanks": args.tanks,
-        "max_batch": args.max_batch,
-        "popularity": args.popularity,
-        "seed": args.seed,
-    }
-    if args.json:
-        snapshots = _run_serve_modes(args, modes, tracer)
-        if tracer is not None:
-            tracer.close()
-            print(f"traces written to {args.trace}", file=sys.stderr)
-        print(json.dumps({**header, "modes": snapshots}, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"fleet: {args.tanks} tanks, {args.requests} requests, "
-        f"{args.workers} workers, max batch {args.max_batch}, "
-        f"fault rate {args.fault_rate}, "
-        f"policy {args.policy}, popularity {args.popularity}"
-        + (f", {args.shards} shards" if args.shards else "")
-    )
-    snapshots = _run_serve_modes(args, modes, tracer)
-    if tracer is not None:
-        tracer.close()
-        print(f"traces written to {args.trace} (render: repro trace-report {args.trace})")
-    elif args.trace and args.shards:
-        print(
-            "traces written to "
-            + ", ".join(f"{args.trace}.shard{k}.jsonl" for k in range(args.shards))
-        )
-
-    fields = [
-        ("requests/s", lambda s: f"{s['service']['requests_per_s']:.1f}"),
-        ("p50 latency", lambda s: _quantile_ms(s, "latency_s", "p50")),
-        ("p95 latency", lambda s: _quantile_ms(s, "latency_s", "p95")),
-        ("reconfigurations", lambda s: str(s["service"]["reconfigurations"])),
-        ("reconfigs avoided", lambda s: str(s["service"]["reconfigurations_avoided"])),
-        ("mJ / request", lambda s: f"{s['service']['joules_per_request'] * 1e3:.3f}"),
-        ("cache hit rate", lambda s: f"{s['cache']['hit_rate'] * 100:.0f}%"),
-        ("retries", lambda s: str(s["counters"].get("requests_retried", 0))),
-    ]
-    header = f"{'metric':<20}" + "".join(f"{m:>14}" for m in modes)
-    print(header)
-    print("-" * len(header))
-    for label, render in fields:
-        print(f"{label:<20}" + "".join(f"{render(snapshots[m]):>14}" for m in modes))
-    if len(modes) == 2:
-        b, u = snapshots[batched_mode]["service"], snapshots["per-request"]["service"]
-        ratio = u["reconfigurations"] / max(1, b["reconfigurations"])
-        speedup = b["requests_per_s"] / max(1e-9, u["requests_per_s"])
-        print(
-            f"\n{batched_mode}: {ratio:.1f}x fewer slot reconfigurations, "
-            f"{speedup:.2f}x requests/s"
-        )
     return 0
 
 
@@ -682,58 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser(
-        "serve-bench", help="fleet serving throughput: batched vs per-request"
-    )
-    p.add_argument("--requests", type=int, default=32)
-    p.add_argument("--tanks", type=int, default=8)
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--max-batch", type=int, default=16)
-    p.add_argument("--fault-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=300.0)
-    p.add_argument("--batched-only", action="store_true")
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="serve the batched mode through N shard processes "
-        "(0 = in-process; --workers becomes workers per shard)",
-    )
-    p.add_argument(
-        "--popularity",
-        choices=["uniform", "zipf"],
-        default="uniform",
-        help="per-tank arrival pattern (zipf = few hot tanks carry most load)",
-    )
-    p.add_argument(
-        "--zipf-exponent",
-        type=float,
-        default=1.1,
-        help="tail heaviness of the zipf popularity model",
-    )
-    p.add_argument(
-        "--policy",
-        choices=POLICIES,
-        default=DEFAULT_POLICY,
-        help="batch-formation policy (energy = minimize joules/request "
-        "within deadline SLOs; unbatched, it forms batches of one)",
-    )
-    p.add_argument(
-        "--window",
-        type=float,
-        default=0.0,
-        help="batching fill window in seconds (energy policy default 0.05)",
-    )
-    p.add_argument("--json", action="store_true", help="emit metric snapshots as JSON")
-    p.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record per-request span traces to this JSONL file",
-    )
-    p.set_defaults(func=_cmd_serve_bench)
-
-    p = sub.add_parser(
         "serve",
         help="TCP front door: serve the fleet over a socket until SIGTERM",
         description="Run a FleetService behind the repro.net TCP edge "
@@ -820,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace-report", help="per-stage latency/energy breakdown of recorded traces"
     )
-    p.add_argument("file", help="JSONL trace file (from serve-bench --trace)")
+    p.add_argument("file", help="JSONL trace file (written by repro.trace.JsonlExporter)")
     p.add_argument("--flame", action="store_true", help="append a text flamegraph")
     p.add_argument("--top", type=int, default=5, help="slow exemplars to list")
     p.add_argument("--width", type=int, default=40, help="flamegraph bar width")

@@ -286,8 +286,8 @@ class TankStateStore:
     """Sessions for every tank of the fleet, created on first use.
 
     Seeds derive deterministically from (base seed, tank id), so two
-    services configured identically — e.g. a batched and an unbatched
-    run being compared — observe identical noise per tank.
+    services configured identically — e.g. a ``max_batch=16`` and a
+    ``max_batch=1`` run being compared — observe identical noise per tank.
     """
 
     def __init__(self, circuit=None, seed: int = 0, noise_rms: float = 0.002):
@@ -452,8 +452,8 @@ class BatchExecutor:
     """Runs batches on one :class:`repro.app.system.FpgaReconfigSystem`.
 
     Every batch runs **stage-major**: one slot load per pipeline stage
-    per batch.  The per-request baseline the benchmarks compare against
-    is simply a batch of one (``FleetService(batched=False)``).
+    per batch.  The per-request baseline the throughput gate compares
+    against is simply a batch of one (``FleetService(max_batch=1)``).
 
     Each stage runs every runnable lane of the batch through one call of
     the batched kernels (:class:`repro.kernels.engine.VectorEngine`).  The

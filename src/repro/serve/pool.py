@@ -236,14 +236,14 @@ class FleetWorker(threading.Thread):
 class FleetService:
     """Measurement-as-a-service: broker + scheduler + worker pool.
 
-    ``batched=False`` turns the service into the naive per-request
-    baseline (batch size 1, one slot load per stage per request) that the
-    throughput benchmark compares against.
+    ``max_batch=1`` turns the service into the naive per-request
+    baseline (one slot load per stage per request) that the throughput
+    gate in ``tests/test_serve.py`` compares against.
 
     ``policy`` picks batch formation from :data:`POLICIES`: ``"energy"``
     (the default; joules/request-driven, with a bounded fill wait) or
-    ``"fifo"`` (the head request's pipeline group).  Unbatched, the energy
-    policy targets batches of one and never waits to fill.
+    ``"fifo"`` (the head request's pipeline group).  At ``max_batch=1``
+    the energy policy targets batches of one and never waits to fill.
 
     Every batch runs on the vector kernels (:mod:`repro.kernels`).
     ``engine`` accepts only ``"vector"`` and any other value raises
@@ -256,7 +256,6 @@ class FleetService:
         workers: int = 2,
         max_batch: int = 16,
         queue_capacity: int = 256,
-        batched: bool = True,
         window_s: float = 0.0,
         fault_rate: float = 0.0,
         seed: int = 0,
@@ -311,13 +310,12 @@ class FleetService:
             # during construction is exactly the cold-start cost worth
             # seeing in the runtime trace.
             self.cache.tracer = self.tracer
-        self.batched = batched
         self.broker = RequestBroker(
             queue_capacity, retry=retry, clock=clock, tracer=self.tracer
         )
         self.scheduler = BatchScheduler(
             self.broker,
-            max_batch=max_batch if batched else 1,
+            max_batch=max_batch,
             window_s=window_s,
             metrics=self.metrics,
             tracer=self.tracer,
@@ -614,7 +612,6 @@ class FleetService:
         reconfigs = snap["counters"].get("reconfigurations", 0)
         avoided = snap["counters"].get("reconfigurations_avoided", 0)
         snap["service"] = {
-            "mode": "batched" if self.batched else "per-request",
             "policy": self.policy,
             "workers": len(self.workers),
             "elapsed_s": elapsed,

@@ -36,7 +36,6 @@ class ShardConfig:
     workers_per_shard: int = 1
     max_batch: int = 16
     queue_capacity: int = 256
-    batched: bool = True
     window_s: float = 0.0
     #: Batch-formation policy of every shard's ``FleetService``.
     policy: str = DEFAULT_POLICY
@@ -59,9 +58,6 @@ class ShardConfig:
     #: multiprocessing start method ("fork" / "spawn" / "forkserver");
     #: None picks :func:`default_start_method`.
     start_method: Optional[str] = None
-    #: When set, each shard records request traces to
-    #: ``<trace_path>.shard<k>.jsonl``.
-    trace_path: Optional[str] = None
     #: Seconds a worker gets to come up / drain down before the router
     #: escalates (kill on shutdown, restart failure on startup).
     startup_timeout_s: float = 30.0
@@ -74,6 +70,8 @@ class ShardConfig:
             raise ValueError(
                 f"need at least one worker per shard, got {self.workers_per_shard}"
             )
+        if self.max_batch < 1:
+            raise ValueError(f"max batch must be >= 1, got {self.max_batch}")
         if self.queue_capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {self.queue_capacity}")
         if self.policy not in POLICIES:

@@ -58,7 +58,6 @@ def build_service(
     shard_id: int,
     config: ShardConfig,
     on_deliver=None,
-    tracer=None,
 ) -> FleetService:
     """The per-shard fleet service.
 
@@ -71,14 +70,12 @@ def build_service(
         workers=config.workers_per_shard,
         max_batch=config.max_batch,
         queue_capacity=config.queue_capacity,
-        batched=config.batched,
         window_s=config.window_s,
         policy=config.policy,
         fault_rate=config.fault_rate,
         seed=config.seed,
         config=SystemConfig(circuit=config.circuit) if config.circuit is not None else None,
         noise_rms=config.noise_rms,
-        tracer=tracer,
         on_deliver=on_deliver,
     )
 
@@ -107,17 +104,7 @@ def shard_main(shard_id: int, conn, router_conn, config: ShardConfig) -> None:
         # delivery guard; a dead pipe ends the control loop via EOF.
         send(KIND_RESPONSE, {"responses": [response_to_wire(r) for r in responses]})
 
-    tracer = None
-    if config.trace_path:
-        from repro.trace import JsonlExporter, TraceSink, Tracer
-
-        tracer = Tracer(
-            sink=TraceSink(
-                capacity=4096,
-                exporter=JsonlExporter(f"{config.trace_path}.shard{shard_id}.jsonl"),
-            )
-        )
-    service = build_service(shard_id, config, on_deliver=deliver, tracer=tracer)
+    service = build_service(shard_id, config, on_deliver=deliver)
     service.start()
     send(KIND_HELLO, {"shard": shard_id, "pid": os.getpid()})
 
@@ -172,8 +159,6 @@ def shard_main(shard_id: int, conn, router_conn, config: ShardConfig) -> None:
             pass  # shutdown already ran (or never started serving)
         else:
             service.shutdown(drain=False, timeout_s=1.0)
-        if tracer is not None:
-            tracer.close()
         try:
             conn.close()
         except OSError:

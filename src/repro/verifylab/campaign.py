@@ -73,7 +73,6 @@ def campaign_scenario(
         seed=seed,
         tank_levels=tank_levels,
         max_batch=max_batch,
-        batched=True,
         noise_rms=0.0,
         max_attempts=max_attempts,
     )

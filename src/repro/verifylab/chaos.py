@@ -79,7 +79,6 @@ def run_chaos_campaign(
         workers=workers,
         max_batch=scenario.max_batch,
         queue_capacity=requests + 16,
-        batched=True,
         seed=scenario.seed,
         config=SystemConfig(circuit=scenario.circuit),
         noise_rms=scenario.noise_rms,
@@ -159,7 +158,6 @@ def run_shard_chaos_campaign(
         workers_per_shard=1,
         max_batch=scenario.max_batch,
         queue_capacity=requests + 16,
-        batched=True,
         seed=scenario.seed,
         noise_rms=scenario.noise_rms,
         circuit=scenario.circuit,

@@ -220,12 +220,10 @@ Served = Tuple[List[MeasurementResponse], dict]
 
 def _fleet(scenario, hooks: dict, policy: str) -> FleetService:
     """The oracle's one-worker fleet for ``scenario``."""
-    batched = getattr(scenario, "batched", True)
     return FleetService(
         workers=1,
         max_batch=scenario.max_batch,
         queue_capacity=scenario.n_requests + 16,
-        batched=batched,
         seed=scenario.seed,
         config=SystemConfig(circuit=scenario.circuit),
         cache=_shared_cache,
@@ -287,7 +285,6 @@ def serve_shard(
         workers_per_shard=1,
         max_batch=scenario.max_batch,
         queue_capacity=scenario.n_requests + 16,
-        batched=getattr(scenario, "batched", True),
         policy=policy,
         seed=scenario.seed,
         noise_rms=scenario.noise_rms,

@@ -30,7 +30,6 @@ class Scenario:
     #: (tank_id, true fill level) per request, in submission order.
     tank_levels: Tuple[Tuple[str, float], ...]
     max_batch: int = 8
-    batched: bool = True
     noise_rms: float = 0.002
     max_attempts: int = 3
     circuit: MeasurementCircuit = MeasurementCircuit()
@@ -95,7 +94,6 @@ class Scenario:
             "n_requests": self.n_requests,
             "n_tanks": len(self.tank_ids),
             "max_batch": self.max_batch,
-            "batched": self.batched,
             "noise_rms": self.noise_rms,
             "max_attempts": self.max_attempts,
             "circuit": {
@@ -118,7 +116,8 @@ def generate_scenario(seed: int, max_requests: int = 12) -> Scenario:
     Randomizes the axes the equivalence claim must hold across: tank
     geometry (electrode capacitance range, loss and divider resistances),
     fleet size and fill trajectories (a bounded random walk per tank),
-    front-end noise, request interleaving, batch size and serving mode.
+    front-end noise, request interleaving and batch size (a quarter of
+    seeds serve per request, at ``max_batch=1``).
 
     Raises
     ------
@@ -149,11 +148,13 @@ def generate_scenario(seed: int, max_requests: int = 12) -> Scenario:
         fill[tank] = min(0.95, max(0.05, fill[tank] + rng.uniform(-0.15, 0.15)))
         tank_levels.append((f"tank-{tank:03d}", fill[tank]))
 
+    max_batch = rng.randint(1, 8)
+    if rng.random() >= 0.75:
+        max_batch = 1
     return Scenario(
         seed=seed,
         tank_levels=tuple(tank_levels),
-        max_batch=rng.randint(1, 8),
-        batched=rng.random() < 0.75,
+        max_batch=max_batch,
         noise_rms=rng.choice([0.0, 0.001, 0.002, 0.004]),
         circuit=circuit,
     )
@@ -161,7 +162,7 @@ def generate_scenario(seed: int, max_requests: int = 12) -> Scenario:
 
 def generate_fault_scenario(seed: int, max_tanks: int = 10) -> Scenario:
     """Seed-determined workload for the *fault* oracle: one request per
-    tank, batched serving.
+    tank, batches of two to eight.
 
     The mixed faulty/clean oracle replays the counter-RNG fault schedule
     request by request, including the extra front-end sampling a retried
@@ -199,7 +200,6 @@ def generate_fault_scenario(seed: int, max_tanks: int = 10) -> Scenario:
         seed=seed,
         tank_levels=tank_levels,
         max_batch=rng.randint(2, 8),
-        batched=True,
         noise_rms=rng.choice([0.0, 0.001, 0.002, 0.004]),
         max_attempts=rng.randint(2, 4),
         circuit=circuit,

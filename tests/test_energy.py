@@ -46,7 +46,7 @@ def _predicted_and_charged(n_requests, thermal=None):
     service and, per executed batch, the policy's estimate made just
     before it ran, the executor's outcome, and the worker's clock."""
     service = FleetService(
-        workers=1, max_batch=8, batched=True, seed=7, policy="energy", thermal=thermal
+        workers=1, max_batch=8, seed=7, policy="energy", thermal=thermal
     )
     executor = service.workers[0].executor
     model = service.scheduler.policy.model
@@ -347,9 +347,7 @@ def test_energy_policy_service_serves_everything_exactly():
     compute: responses must equal the FIFO service's bit for bit."""
     results = {}
     for policy in ("fifo", "energy"):
-        service = FleetService(
-            workers=1, max_batch=8, batched=True, seed=11, policy=policy
-        )
+        service = FleetService(workers=1, max_batch=8, seed=11, policy=policy)
         service.start()
         requests = synthetic_load(12, n_tanks=3)
         accepted, rejected = service.submit_many(requests)
@@ -364,10 +362,10 @@ def test_energy_policy_service_serves_everything_exactly():
     assert results["fifo"] == results["energy"]
 
 
-def test_energy_policy_serves_unbatched_as_batches_of_one():
-    """Unbatched, the energy policy targets batches of one and never
-    waits to fill."""
-    service = FleetService(workers=1, batched=False, policy="energy")
+def test_energy_policy_at_max_batch_one_serves_batches_of_one():
+    """At ``max_batch=1`` the energy policy targets batches of one and
+    never waits to fill."""
+    service = FleetService(workers=1, max_batch=1, policy="energy")
     policy = service.scheduler.policy
     assert policy.max_batch == service.scheduler.max_batch == 1
     queued = {STANDARD_PIPELINE: {"count": 1, "earliest_deadline_s": None, "head_position": 0}}

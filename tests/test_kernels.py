@@ -420,7 +420,6 @@ def serve_and_replay(scenario, **kwargs):
         scenario.requests(),
         workers=1,
         max_batch=scenario.max_batch,
-        batched=scenario.batched,
         seed=scenario.seed,
         noise_rms=scenario.noise_rms,
         config=SystemConfig(circuit=scenario.circuit),
@@ -459,7 +458,7 @@ def test_per_request_mode_runs_the_vector_engine_bit_exactly():
     scenario = Scenario(
         seed=7,
         tank_levels=tuple((f"t{i % 2}", 0.2 + 0.1 * i) for i in range(6)),
-        batched=False,
+        max_batch=1,
     )
     service, reference = serve_and_replay(scenario)
     assert {r.batch_size for r in service.responses()} == {1}
@@ -475,9 +474,9 @@ def test_engine_validation():
 
 
 def test_snapshot_reports_engine_stage_times_and_kernel_cache():
-    for batched in (True, False):
+    for max_batch in (4, 1):
         service = run_service(
-            synthetic_load(6, n_tanks=2), workers=1, max_batch=4, batched=batched
+            synthetic_load(6, n_tanks=2), workers=1, max_batch=max_batch
         )
         snap = service.metrics_snapshot()
         assert "engine" not in snap["service"]
@@ -489,9 +488,7 @@ def test_snapshot_reports_engine_stage_times_and_kernel_cache():
 
 
 def test_per_request_mode_also_times_stages():
-    service = run_service(
-        synthetic_load(4, n_tanks=2), workers=1, max_batch=4, batched=False
-    )
+    service = run_service(synthetic_load(4, n_tanks=2), workers=1, max_batch=1)
     snap = service.metrics_snapshot()
     for stage in ("frontend", "amp_phase", "capacity", "filter"):
         assert snap["histograms"][f"stage_{stage}_s"]["count"] > 0

@@ -43,7 +43,6 @@ def test_service_wire_delivery_under_counter_faults():
     service = FleetService(
         workers=1,
         max_batch=8,
-        batched=True,
         seed=5,
         fault_injector=FaultInjector(0.5, seed=5, retry_rate=0.25),
         queue_capacity=32,

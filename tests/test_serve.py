@@ -42,7 +42,7 @@ def test_batched_responses_match_reference_pipeline():
     """Stage-major batching must not change any request's answer: each
     response equals the per-request reference pipeline result."""
     requests = synthetic_load(8, n_tanks=2)
-    service = run_service(requests, workers=1, max_batch=4, batched=True, seed=5)
+    service = run_service(requests, workers=1, max_batch=4, seed=5)
     responses = by_id(service)
     assert all(r.ok for r in responses.values())
     assert service.metrics.counter("reconfigurations_avoided") > 0
@@ -82,12 +82,8 @@ def test_batched_responses_match_reference_pipeline():
 
 def test_batched_equals_per_request_serving():
     """Batched and naive serving produce identical measurements."""
-    batched = run_service(
-        synthetic_load(6, n_tanks=3), workers=1, max_batch=6, batched=True, seed=2
-    )
-    naive = run_service(
-        synthetic_load(6, n_tanks=3), workers=1, max_batch=6, batched=False, seed=2
-    )
+    batched = run_service(synthetic_load(6, n_tanks=3), workers=1, max_batch=6, seed=2)
+    naive = run_service(synthetic_load(6, n_tanks=3), workers=1, max_batch=1, seed=2)
     b, n = by_id(batched), by_id(naive)
     assert set(b) == set(n)
     for request_id in b:
@@ -98,6 +94,47 @@ def test_batched_equals_per_request_serving():
         batched.metrics.counter("reconfigurations")
         < naive.metrics.counter("reconfigurations")
     )
+
+
+#: (label, n_requests, n_tanks, max_batch) of the batched vs per-request
+#: comparison; per-request serving is the same fleet at ``max_batch=1``.
+THROUGHPUT_LOADS = [
+    ("light", 8, 2, 8),
+    ("medium", 24, 6, 8),
+    ("heavy", 48, 8, 16),
+]
+
+
+def _serve_load(n_requests, n_tanks, max_batch):
+    service = run_service(
+        synthetic_load(n_requests, n_tanks=n_tanks),
+        workers=2,
+        max_batch=max_batch,
+        queue_capacity=n_requests + 16,
+        seed=0,
+    )
+    assert all(r.ok for r in service.responses())
+    return service.metrics_snapshot()
+
+
+def test_batching_beats_per_request_serving_at_every_load():
+    """The headline claim: batching cuts slot reconfigurations >= 5x,
+    raises throughput, and lowers energy per measurement, at every load
+    level."""
+    # The first fleet in a process pays one-time costs (the C kernel
+    # compile, lazy imports); serve one untimed so neither mode is
+    # charged for them.
+    _serve_load(8, 2, 8)
+    for label, n_requests, n_tanks, max_batch in THROUGHPUT_LOADS:
+        batched = _serve_load(n_requests, n_tanks, max_batch)
+        per_request = _serve_load(n_requests, n_tanks, 1)
+        b, u = batched["service"], per_request["service"]
+        assert u["reconfigurations"] >= 5 * b["reconfigurations"], label
+        assert b["requests_per_s"] > u["requests_per_s"], label
+        assert b["reconfigurations_avoided"] > 0, label
+        # The shared artifact cache serves every repeated module load.
+        assert batched["cache"]["hit_rate"] > 0, label
+        assert b["joules_per_request"] < u["joules_per_request"], label
 
 
 # --------------------------------------------------------------------- cache
@@ -119,7 +156,7 @@ def test_artifact_cache_lru_and_counters():
 def test_bitstream_cache_shared_across_workers():
     """Worker 2+ must reuse worker 1's partial bitstreams: hit rate > 0
     without serving a single request."""
-    service = FleetService(workers=3, batched=True)
+    service = FleetService(workers=3)
     snap = service.metrics_snapshot()
     assert snap["cache"]["misses"] == len(STANDARD_PIPELINE)
     assert snap["cache"]["hits"] == 2 * len(STANDARD_PIPELINE)
@@ -158,7 +195,7 @@ def test_cached_slot_implementation_roundtrip():
 
 
 def test_deadline_expiry_skips_device_work():
-    service = FleetService(workers=1, batched=True)
+    service = FleetService(workers=1)
     expired = MeasurementRequest(
         request_id=1,
         tank_id="tank-x",
@@ -180,9 +217,7 @@ def test_transient_fault_is_retried_with_backoff():
     """A faulted attempt retries inside its batch: no broker requeue, so
     no backoff is paid at all."""
     requests = synthetic_load(4, n_tanks=2, max_attempts=3)
-    service = run_service(
-        requests, workers=1, max_batch=4, batched=True, fault_rate=1.0, seed=7
-    )
+    service = run_service(requests, workers=1, max_batch=4, fault_rate=1.0, seed=7)
     responses = by_id(service)
     assert len(responses) == 4
     for response in responses.values():
@@ -200,9 +235,7 @@ def test_transient_fault_is_retried_with_backoff():
 
 def test_exhausted_retries_fail():
     requests = synthetic_load(2, n_tanks=1, max_attempts=1)
-    service = run_service(
-        requests, workers=1, batched=True, fault_rate=1.0, seed=3
-    )
+    service = run_service(requests, workers=1, fault_rate=1.0, seed=3)
     for response in service.responses():
         assert response.status == "failed"
         assert "scrubbed" in response.error or "fault" in response.error
@@ -225,7 +258,7 @@ def test_backpressure_rejects_when_full():
 
 
 def test_clean_pool_shutdown_drains_queue():
-    service = FleetService(workers=2, max_batch=4, batched=True)
+    service = FleetService(workers=2, max_batch=4)
     requests = synthetic_load(6, n_tanks=3)
     accepted, _ = service.submit_many(requests)
     service.start()
@@ -258,7 +291,7 @@ def test_reconfig_state_does_not_grow_with_uptime():
     its port, its store and its configuration memory hold containers of
     the same sizes, with SEUs injected and scrubbed along the way."""
     k = 3
-    service = FleetService(workers=1, batched=False, seed=5, fault_rate=0.5).start()
+    service = FleetService(workers=1, max_batch=1, seed=5, fault_rate=0.5).start()
     controller = service.workers[0].executor.system.controller
     layer = (controller, controller.port, controller.store, controller.config_memory)
     try:
@@ -597,23 +630,6 @@ def test_single_observation_histogram_summary_is_degenerate():
     assert summary["count"] == 1
     for key in ("mean", "min", "max", "p50", "p95"):
         assert summary[key] == pytest.approx(0.25)
-
-
-def test_cli_formatters_survive_missing_histograms():
-    """serve-bench's table renderers on a run that observed nothing
-    (zero requests): placeholders, not TypeError on None quantiles."""
-    from repro.cli import _hist, _quantile_ms
-
-    assert _quantile_ms({}, "latency_s", "p50") == "-"
-    assert _quantile_ms({"histograms": {}}, "latency_s", "p95") == "-"
-    empty = _hist({"histograms": {}}, "latency_s")
-    assert empty["count"] == 0 and empty["p50"] is None
-    # Zero-count summaries pass through unchanged...
-    zero = {"histograms": {"latency_s": Histogram().summary()}}
-    assert _quantile_ms(zero, "latency_s", "p50") == "-"
-    # ...and real observations still format as milliseconds.
-    populated = {"histograms": {"latency_s": {"p50": 0.125}}}
-    assert _quantile_ms(populated, "latency_s", "p50") == "125 ms"
 
 
 def test_artifact_cache_eviction_stress_with_concurrent_get_put():

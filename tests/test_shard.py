@@ -283,6 +283,15 @@ def test_shard_config_takes_the_service_policy_default():
         ShardConfig(policy="thermal")
 
 
+def test_shard_config_rejects_max_batch_below_one():
+    """A bad batch cap fails where the config is built, not as a shard
+    that never says hello (the real error would sit in its stderr)."""
+    assert ShardConfig(max_batch=1).max_batch == 1
+    for max_batch in (0, -3):
+        with pytest.raises(ValueError, match="max batch must be >= 1"):
+            ShardConfig(max_batch=max_batch)
+
+
 # ------------------------------------------------------------------ the router
 
 
@@ -396,15 +405,16 @@ def test_sharded_path_exactly_equals_single_process():
     assert report.ok, report.violations
 
 
-def test_unbatched_shards_keep_the_vector_engine():
-    """Per-request serving is a batch of one on the fleet's kernels: an
-    unbatched sharded fleet answers exactly like the reference replay."""
+def test_max_batch_one_shards_keep_the_vector_engine():
+    """Per-request serving is a batch of one on the fleet's kernels: a
+    sharded fleet at ``max_batch=1`` answers exactly like the reference
+    replay."""
     from repro.verifylab import Scenario, check_scenario
 
     scenario = Scenario(
         seed=3,
         tank_levels=tuple((f"t{i % 4}", 0.1 + 0.07 * i) for i in range(12)),
-        batched=False,
+        max_batch=1,
     )
     check = check_scenario(scenario, transport="shard")
     assert check.ok, check.violations

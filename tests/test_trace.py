@@ -368,7 +368,6 @@ def _run_traced_service(**kwargs):
     tracer = Tracer(sink=sink)
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("max_batch", 4)
-    kwargs.setdefault("batched", True)
     kwargs.setdefault("seed", 11)
     kwargs.setdefault("queue_capacity", 32)
     # The vector golden was recorded under FIFO formation.
@@ -495,7 +494,7 @@ def test_vector_engine_emits_kernel_spans(traced_service):
 
 
 def test_untraced_service_attaches_no_traces():
-    service = FleetService(workers=1, max_batch=4, batched=True, queue_capacity=16)
+    service = FleetService(workers=1, max_batch=4, queue_capacity=16)
     requests = synthetic_load(4, n_tanks=2)
     accepted, _ = service.submit_many(requests)
     service.start()
@@ -543,7 +542,7 @@ def test_failed_batch_trace_shows_backoff_and_second_execute():
 def test_expired_request_trace_has_no_device_work():
     sink = TraceSink()
     tracer = Tracer(sink=sink)
-    service = FleetService(workers=1, batched=True, queue_capacity=8, tracer=tracer)
+    service = FleetService(workers=1, queue_capacity=8, tracer=tracer)
     service.submit(
         MeasurementRequest(
             request_id=1, tank_id="tank-x", level=0.5, deadline_s=service.clock() - 1.0
@@ -574,19 +573,18 @@ def test_runtime_trace_captures_construction_artifact_builds(traced_service):
 # ------------------------------------------------------------------------ CLI
 
 
-def test_cli_serve_bench_trace_then_report(tmp_path, capsys):
+def test_cli_trace_report_on_a_recorded_fleet(tmp_path, capsys):
     from repro.cli import main
 
     trace_path = tmp_path / "traces.jsonl"
-    rc = main(
-        [
-            "serve-bench", "--requests", "4", "--tanks", "2", "--workers", "1",
-            "--max-batch", "4", "--batched-only", "--trace", str(trace_path),
-        ]
-    )
-    assert rc == 0
+    tracer = Tracer(sink=TraceSink(exporter=JsonlExporter(trace_path)))
+    service = FleetService(workers=1, max_batch=4, tracer=tracer)
+    accepted, _ = service.submit_many(synthetic_load(4, n_tanks=2))
+    service.start()
+    assert service.await_responses(accepted, timeout_s=60)
+    service.shutdown()
+    tracer.close()
     assert trace_path.exists()
-    capsys.readouterr()
 
     rc = main(["trace-report", str(trace_path), "--flame", "--top", "3"])
     out = capsys.readouterr().out

@@ -80,8 +80,10 @@ class TestUartTxGates:
 
 
 @pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.stem)
-def test_example_runs(example, capsys):
-    """Every shipped example executes end to end."""
+def test_example_runs(example, capsys, monkeypatch):
+    """Every shipped example executes end to end, with the command line
+    it gets when run without arguments (not pytest's own)."""
+    monkeypatch.setattr("sys.argv", [str(example)])
     runpy.run_path(str(example), run_name="__main__")
     out = capsys.readouterr().out
     assert len(out) > 100  # produced real output
