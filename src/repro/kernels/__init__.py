@@ -12,8 +12,9 @@ fused converter chain runs as pure Python: same bits, slower.
 Modules
 -------
 ``native``
-    The fused delta-sigma converter chain, compiled to C on first use
-    (pure-Python fused fallback when no compiler is present).
+    The fused delta-sigma converter chain with its counter-keyed noise
+    generated inline, compiled to C on first use (pure-Python fused
+    fallback when no compiler is present).
 ``cache``
     The kernel-side :class:`~repro.serve.cache.ArtifactCache` holding
     request-invariant arrays (excitation, spectra, Goertzel bases).

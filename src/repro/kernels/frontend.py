@@ -11,16 +11,19 @@ can be shared and what cannot:
   all; they are built once and served from the kernel cache.
 * The measurement channel's shaped waveform depends only on (circuit,
   level); it is LRU-cached per level.
-* The noise draws must replay the scalar path's RNG consumption exactly:
-  per request in batch order, measurement channel then reference channel,
-  from the owning session's generator, skipped entirely at zero noise —
-  so the fleet and the per-request reference replay with the same seeds
-  observe identical noise per tank.
+* The noise is counter-keyed (see :mod:`repro.app.frontend`): each
+  request claims its session's next cycle under the session lock, in
+  batch order, exactly where the scalar path claims it, and hands the
+  cycle's two stream keys to the kernel — so the fleet and the
+  per-request reference replay with the same seeds observe identical
+  noise per tank.
 * The converter chain (anti-alias RC, one-bit modulator, decimator) is a
   chaotic per-sample recursion that cannot be shared or approximated; all
   ``2B`` lanes go through :func:`repro.kernels.native.adc_chain_batch`
-  in one call (compiled when a C compiler is present, fused pure Python
-  otherwise — bit-exact either way).
+  in one call, which reads the cached shaped waveforms in place and
+  generates the noise and the channel gain inline (compiled when a C
+  compiler is present, fused pure Python otherwise — bit-exact either
+  way).
 """
 
 from __future__ import annotations
@@ -125,7 +128,9 @@ def batch_sample_cycles(
     if not entries:
         return []
 
-    lanes: List[np.ndarray] = []
+    shaped: List[np.ndarray] = []
+    gains: List[float] = []
+    keys: List[int] = []
     fes: List[AnalogFrontEnd] = []
     for session, level in entries:
         fe: AnalogFrontEnd = session.frontend
@@ -136,35 +141,34 @@ def batch_sample_cycles(
         meas_shaped = _meas_shaped(
             fe, level, n, exc_key, spectrum, freqs, nonzero, cache
         )
-        if fe.noise_rms > 0:
-            # Exactly the scalar path's RNG consumption: measurement
-            # channel first, then reference, one request at a time in
-            # batch order, under the session lock.
-            with session.lock:
-                meas_noise = fe._rng.normal(0.0, fe.noise_rms, n)
-                ref_noise = fe._rng.normal(0.0, fe.noise_rms, n)
-            meas_analog = fe.meas_gain * (meas_shaped + meas_noise)
-            ref_analog = fe.ref_gain * (ref_shaped + ref_noise)
-        else:
-            meas_analog = fe.meas_gain * meas_shaped
-            ref_analog = fe.ref_gain * ref_shaped
-        lanes.append(meas_analog)
-        lanes.append(ref_analog)
+        with session.lock:
+            keys.extend(fe.next_noise_keys())
+        shaped += [meas_shaped, ref_shaped]
+        gains += [fe.meas_gain, fe.ref_gain]
         fes.append(fe)
 
     # Group lanes by converter parameters so a (normally homogeneous)
     # fleet runs as one kernel call, while mixed configurations stay
     # correct lane by lane.
     groups: Dict[Tuple, List[int]] = {}
-    for i, lane in enumerate(lanes):
+    for i, lane in enumerate(shaped):
         fe = fes[i // 2]
         adc = fe.adc_meas if i % 2 == 0 else fe.adc_ref
-        key = (lane.size, adc.antialias.alpha, adc.antialias.order, adc.decimation)
+        key = (
+            lane.size, adc.antialias.alpha, adc.antialias.order, adc.decimation,
+            fe.noise_scale,
+        )
         groups.setdefault(key, []).append(i)
-    decimated: List[Optional[np.ndarray]] = [None] * len(lanes)
-    for (size, alpha, order, dec), indices in groups.items():
+    decimated: List[Optional[np.ndarray]] = [None] * len(shaped)
+    for (size, alpha, order, dec, noise_scale), indices in groups.items():
         block = adc_chain_batch(
-            np.stack([lanes[i] for i in indices]), alpha, order, dec
+            [shaped[i] for i in indices],
+            alpha,
+            order,
+            dec,
+            gains=[gains[i] for i in indices],
+            keys=[keys[i] for i in indices],
+            noise_scale=noise_scale,
         )
         for row, i in enumerate(indices):
             decimated[i] = block[row]

@@ -12,12 +12,20 @@ and still bit-exact, because IEEE-754 double ops are deterministic and
 ``-ffp-contract=off`` forbids the only transformation (FMA contraction)
 that could change a rounding.
 
+The kernel also generates the converter noise inline: each lane is a
+cached noise-free shaped waveform, a gain and a noise stream key, and
+sample ``i`` enters the chain as ``gain * (shaped[i] + noise_i)``, with
+the counter-keyed SplitMix64 / Irwin–Hall(4) generator of
+:mod:`repro.app.frontend` — integer hashing and one scale multiply, no
+libm call, so the noisy lanes are never materialised and the C, fallback
+and scalar paths agree bit for bit.
+
 The library is compiled on first use with whatever ``cc``/``gcc``/``clang``
 the host provides — no new Python dependency.  When no compiler is
 available (or ``REPRO_NO_NATIVE_KERNELS`` is set) the loader reports
 unavailable and callers fall back to a fused pure-Python loop
-(:func:`adc_chain_batch` handles the dispatch), which produces identical
-bits, just slower.
+(:func:`adc_chain_batch` handles the dispatch) fed by the numpy noise
+generator, which produces identical bits, just slower.
 
 Besides the converter chain the library fuses one more stage:
 :func:`level_filter_chain_batch` runs the whole ``filter`` stage
@@ -35,47 +43,85 @@ import shutil
 import subprocess
 import tempfile
 import threading
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
+
+from repro.app.frontend import GOLDEN64, NOISE_MEAN, converter_noise
 
 #: Environment variable that forces the pure-Python fallback.
 DISABLE_ENV = "REPRO_NO_NATIVE_KERNELS"
 
-#: The fused acquisition chain: per lane, ``order`` RC low-pass stages
+#: The fused acquisition chain: per lane, the analog input
+#: ``gain * (shaped + noise)``, ``order`` RC low-pass stages
 #: (state += alpha * (x - state)), the ADC's +-clip, the second-order
 #: one-bit modulator, and boxcar decimation folded into one pass.  The
 #: operation sequence per sample per lane is exactly the one
-#: ``RcLowPass.filter`` + ``DeltaSigmaAdc.modulate`` + ``mean`` perform;
-#: the +-1 bit sums are small exact integers, so accumulating the
-#: decimator inline is order-independent and exact.
+#: ``AnalogFrontEnd`` + ``RcLowPass.filter`` + ``DeltaSigmaAdc.modulate``
+#: + ``mean`` perform; the +-1 bit sums are small exact integers, so
+#: accumulating the decimator inline is order-independent and exact.
+#: The noise sample is ``(sum of mix64(h)'s 16-bit fields - NOISE_MEAN) *
+#: noise_scale`` with ``h`` stepping by GOLDEN64 from the lane's key: an
+#: exact integer, converted exactly, then one rounded multiply.
 _C_SOURCE = r"""
-void ds_adc_chain_batch(const double* x, long lanes, long n, double alpha,
-                        int order, long dec, double clip, double* out) {
+static unsigned long long mix64(unsigned long long z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* One lane.  noisy is a constant at both call sites, so neither inlined
+ * copy tests it per sample. */
+static inline __attribute__((always_inline)) void
+adc_chain_lane(const double* x, double gain, unsigned long long h,
+               double noise_scale, const int noisy, long n, double alpha,
+               int order, long dec, double clip, double* out) {
+    double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+    double v1 = 0.0, v2 = 0.0, y = 1.0, acc = 0.0;
+    long m = 0, k = 0;
+    for (long i = 0; i < n; i++) {
+        double u;
+        if (noisy) {
+            h += GOLDEN64;
+            unsigned long long z = mix64(h);
+            /* The four 16-bit fields summed in two 32-bit halves. */
+            unsigned long long pairs = (z & 0x0000FFFF0000FFFFULL)
+                                       + ((z >> 16) & 0x0000FFFF0000FFFFULL);
+            long long f = (long long)((pairs & 0xFFFFFFFFULL) + (pairs >> 32));
+            u = gain * (x[i] + (double)(f - NOISE_MEAN) * noise_scale);
+        } else {
+            u = gain * x[i];
+        }
+        for (int j = 0; j < order; j++) {
+            s[j] += alpha * (u - s[j]);
+            u = s[j];
+        }
+        u = u < -clip ? -clip : (u > clip ? clip : u);
+        v1 += u - y;
+        v2 += v1 - y;
+        y = v2 >= 0.0 ? 1.0 : -1.0;
+        acc += y;
+        if (++k == dec) {
+            out[m++] = acc / (double)dec;
+            acc = 0.0;
+            k = 0;
+        }
+    }
+}
+
+void ds_adc_chain_batch(const double* const* shaped, const double* gain,
+                        const unsigned long long* key, double noise_scale,
+                        long lanes, long n, double alpha, int order,
+                        long dec, double clip, double* out) {
     long m_per_lane = n / dec;
     for (long lane = 0; lane < lanes; lane++) {
-        const double* xi = x + lane * n;
-        double* oi = out + lane * m_per_lane;
-        double s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-        double v1 = 0.0, v2 = 0.0, y = 1.0, acc = 0.0;
-        long m = 0, k = 0;
-        for (long i = 0; i < n; i++) {
-            double u = xi[i];
-            for (int j = 0; j < order; j++) {
-                s[j] += alpha * (u - s[j]);
-                u = s[j];
-            }
-            u = u < -clip ? -clip : (u > clip ? clip : u);
-            v1 += u - y;
-            v2 += v1 - y;
-            y = v2 >= 0.0 ? 1.0 : -1.0;
-            acc += y;
-            if (++k == dec) {
-                oi[m++] = acc / (double)dec;
-                acc = 0.0;
-                k = 0;
-            }
-        }
+        double* o = out + lane * m_per_lane;
+        if (noise_scale != 0.0)
+            adc_chain_lane(shaped[lane], gain[lane], key[lane], noise_scale, 1,
+                           n, alpha, order, dec, clip, o);
+        else
+            adc_chain_lane(shaped[lane], gain[lane], key[lane], noise_scale, 0,
+                           n, alpha, order, dec, clip, o);
     }
 }
 
@@ -135,6 +181,8 @@ def _compile_and_load() -> ctypes.CDLL:
         src = os.path.join(tmp, "ds_chain.c")
         lib_path = os.path.join(tmp, "ds_chain.so")
         with open(src, "w", encoding="utf-8") as handle:
+            handle.write(f"#define GOLDEN64 {GOLDEN64:#x}ULL\n")
+            handle.write(f"#define NOISE_MEAN {NOISE_MEAN}LL\n")
             handle.write(_C_SOURCE)
         result = subprocess.run(
             # -ffp-contract=off: no FMA contraction, so every double op
@@ -151,7 +199,10 @@ def _compile_and_load() -> ctypes.CDLL:
         # dlopen keeps the mapping alive after the tempdir is removed.
         lib = ctypes.CDLL(lib_path)
     lib.ds_adc_chain_batch.argtypes = [
+        ctypes.POINTER(ctypes.c_void_p),
         ctypes.POINTER(ctypes.c_double),
+        ctypes.POINTER(ctypes.c_uint64),
+        ctypes.c_double,
         ctypes.c_long,
         ctypes.c_long,
         ctypes.c_double,
@@ -246,40 +297,67 @@ def _adc_chain_python(
 
 
 def adc_chain_batch(
-    lanes: np.ndarray,
+    lanes,
     alpha: float,
     order: int,
     decimation: int,
     clip: float = 0.9,
+    gains: Optional[Sequence[float]] = None,
+    keys: Optional[Sequence[int]] = None,
+    noise_scale: float = 0.0,
 ) -> np.ndarray:
-    """Run the fused RC/modulator/decimator chain over a ``(L, N)`` array
-    of analog lanes; returns the ``(L, N // decimation)`` decimated
-    samples, bit-exact with ``DeltaSigmaAdc.convert`` per lane.
+    """Run the fused noise/RC/modulator/decimator chain over ``L`` lanes
+    of ``N`` samples; returns the ``(L, N // decimation)`` decimated
+    samples, bit-exact with ``DeltaSigmaAdc.convert`` of each lane's
+    analog input ``gains[i] * (lanes[i] + noise_i)``.
 
-    Dispatches to the compiled kernel when available, else to the fused
-    pure-Python loop (identical bits either way).
+    ``lanes`` is an ``(L, N)`` array or a sequence of ``L`` 1-D arrays of
+    length ``N`` (read in place, not stacked).  ``gains`` defaults to 1;
+    ``noise_i`` is :func:`repro.app.frontend.converter_noise` of
+    ``keys[i]`` at ``noise_scale``, and absent when ``noise_scale`` is 0
+    (the default).  Dispatches to the compiled kernel when available,
+    else to the fused pure-Python loop (identical bits either way).
 
     Raises
     ------
     ValueError
-        On a non-2D input, an unsupported filter order, or a degenerate
-        decimation factor.
+        On a lane array that is not 2-D, lanes of unequal length, a
+        missing or mis-sized ``gains``/``keys``, an unsupported filter
+        order, or a degenerate decimation factor.
     """
-    x = np.ascontiguousarray(lanes, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"lanes must be 2-D (L, N), got shape {x.shape}")
+    if isinstance(lanes, np.ndarray):
+        if lanes.ndim != 2:
+            raise ValueError(f"lanes must be 2-D (L, N), got shape {lanes.shape}")
+        n = lanes.shape[1]
+    else:
+        n = lanes[0].size if len(lanes) else 0
     if not 1 <= order <= 8:
         raise ValueError(f"filter order must be 1..8, got {order}")
     if decimation < 2:
         raise ValueError(f"decimation must be >= 2, got {decimation}")
-    n_lanes, n = x.shape
+    rows = [np.ascontiguousarray(lane, dtype=np.float64) for lane in lanes]
+    n_lanes = len(rows)
+    if any(row.ndim != 1 or row.size != n for row in rows):
+        raise ValueError("lanes must be 1-D arrays of one length")
+    g = np.ones(n_lanes) if gains is None else np.asarray(gains, dtype=np.float64)
+    if noise_scale and keys is None:
+        raise ValueError("noisy lanes need their noise stream keys")
+    k = np.zeros(n_lanes, dtype=np.uint64) if keys is None else np.asarray(
+        keys, dtype=np.uint64
+    )
+    if g.shape != (n_lanes,) or k.shape != (n_lanes,):
+        raise ValueError(f"need one gain and one key per lane ({n_lanes})")
     out = np.empty((n_lanes, n // decimation), dtype=np.float64)
     if n_lanes == 0 or out.shape[1] == 0:
         return out
     lib = load_native()
     if lib is not None:
+        pointers = (ctypes.c_void_p * n_lanes)(*[row.ctypes.data for row in rows])
         lib.ds_adc_chain_batch(
-            x.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            pointers,
+            g.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            k.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64)),
+            noise_scale,
             n_lanes,
             n,
             alpha,
@@ -289,8 +367,10 @@ def adc_chain_batch(
             out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         )
         return out
-    for i in range(n_lanes):
-        out[i, :] = _adc_chain_python(x[i], alpha, order, decimation, clip)
+    for i, row in enumerate(rows):
+        if noise_scale:
+            row = row + converter_noise(int(k[i]), n, noise_scale)
+        out[i, :] = _adc_chain_python(g[i] * row, alpha, order, decimation, clip)
     return out
 
 

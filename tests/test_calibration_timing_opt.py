@@ -1,15 +1,19 @@
 """Tests for measurement calibration and the timing-constrained power
 optimizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.app import calibration
 from repro.app.calibration import (
     CalibrationPoint,
     CalibrationTable,
     calibrate,
     calibrated_level,
 )
+from repro.app.dsp import level_from_capacity, process_measurement
 from repro.app.frontend import AnalogFrontEnd
 from repro.fabric.device import get_device
 from repro.netlist.generate import random_netlist
@@ -60,9 +64,22 @@ class TestCalibrationTable:
 
 
 class TestCalibrationFlow:
-    def test_calibration_reduces_error(self):
-        """Calibration cancels the chain's systematic bias: the corrected
-        readings beat the raw ones on average over a level sweep."""
+    def test_calibration_reduces_error(self, monkeypatch):
+        """Calibration cancels a known systematic error of the chain: with
+        every raw reading distorted to 1.08 c + 5 pF (a gain error plus a
+        stray capacitance), the corrected readings beat the raw ones on
+        average over a level sweep.  On the undistorted chain the residual
+        bias is below the readings' noise, so there calibration wins on
+        only a minority of seeds."""
+
+        def distorted(*args, **kwargs):
+            outcome = process_measurement(*args, **kwargs)
+            c_pf = 1.08 * outcome.capacitance_pf + 5.0
+            return dataclasses.replace(
+                outcome, capacitance_pf=c_pf, level=level_from_capacity(c_pf, args[4])
+            )
+
+        monkeypatch.setattr(calibration, "process_measurement", distorted)
         frontend = AnalogFrontEnd(seed=21)
         table = calibrate(frontend, levels=(0.1, 0.3, 0.5, 0.7, 0.9), repeats=2)
         raw_errors = []
@@ -71,7 +88,7 @@ class TestCalibrationFlow:
             raw, corrected = calibrated_level(frontend, table, level)
             raw_errors.append(abs(raw - level))
             cal_errors.append(abs(corrected - level))
-        assert np.mean(cal_errors) < np.mean(raw_errors) + 1e-6
+        assert np.mean(cal_errors) < np.mean(raw_errors)
         # Noise on individual readings bounds what calibration can do.
         assert max(cal_errors) < 0.06
 
