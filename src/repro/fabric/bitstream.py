@@ -20,7 +20,8 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.device import FRAMES_PER_CLB_COLUMN, DeviceSpec
 from repro.fabric.grid import Region
@@ -90,6 +91,12 @@ class Bitstream:
     @property
     def frame_count(self) -> int:
         return len(self.frames)
+
+    @cached_property
+    def frame_words(self) -> Dict[int, tuple]:
+        """Frame address -> payload words, built on first use and kept:
+        the image is immutable, so every load of it can share one map."""
+        return {frame.address: frame.words for frame in self.frames}
 
     @property
     def payload_bytes(self) -> int:

@@ -7,6 +7,11 @@ in configuration memory, silently changing a LUT equation or a routing
 switch.  This module injects such faults into the frame-based
 configuration model so the detection/recovery machinery in
 :mod:`repro.reconfig.readback` has something real to find.
+
+Frames are immutable tuples shared with the bitstreams they came from:
+a load stores references, and an upset replaces only the frame it flips
+with a new tuple (copy-on-upset), so a stored golden image can never be
+changed through the memory.
 """
 
 from __future__ import annotations
@@ -35,16 +40,22 @@ class ConfigurationMemory:
 
     Holds the *current* frame contents (loaded from bitstreams), supports
     fault injection, and serves readback.  This is the ground truth the
-    readback scrubber compares against the golden bitstream.
+    readback scrubber compares against the golden bitstream.  Each frame
+    is the loaded bitstream's own ``words`` tuple until an upset flips
+    one of its bits; only then is that one frame copied.
     """
 
     def __init__(self):
-        self._frames: Dict[int, List[int]] = {}
+        self._frames: Dict[int, Tuple[int, ...]] = {}
 
     def load(self, bitstream: Bitstream) -> None:
-        """Write a (partial) bitstream into configuration memory."""
-        for frame in bitstream.frames:
-            self._frames[frame.address] = list(frame.words)
+        """Write a (partial) bitstream into configuration memory.
+
+        Stores each frame's immutable ``words`` by reference, in one
+        ``dict.update`` from the image's cached address map; nothing is
+        copied.
+        """
+        self._frames.update(bitstream.frame_words)
 
     @property
     def frame_count(self) -> int:
@@ -60,7 +71,7 @@ class ConfigurationMemory:
         """
         if address not in self._frames:
             raise KeyError(f"frame {address:#x} not configured")
-        return tuple(self._frames[address])
+        return self._frames[address]
 
     def readback(self, addresses: Optional[List[int]] = None) -> List[Frame]:
         """Read back frames (all configured ones by default)."""
@@ -80,11 +91,9 @@ class ConfigurationMemory:
             raise ValueError("cannot inject a fault into empty configuration memory")
         rng = rng or random.Random()
         address = rng.choice(sorted(self._frames))
-        words = self._frames[address]
-        word_index = rng.randrange(len(words))
+        word_index = rng.randrange(len(self._frames[address]))
         bit_index = rng.randrange(32)
-        words[word_index] ^= 1 << bit_index
-        return InjectedFault(address, word_index, bit_index)
+        return self.inject_at(address, word_index, bit_index)
 
     def inject_burst(self, size: int, rng: Optional[random.Random] = None) -> List[InjectedFault]:
         """Flip ``size`` random configuration bits (a multi-bit upset).
@@ -107,15 +116,19 @@ class ConfigurationMemory:
     def inject_at(self, address: int, word_index: int, bit_index: int) -> InjectedFault:
         """Flip a specific configuration bit (deterministic tests).
 
+        Copy-on-upset: the frame is replaced by a new tuple, so the
+        bitstream it was loaded from keeps its bits.
+
         Raises
         ------
         KeyError / IndexError / ValueError
             On invalid coordinates.
         """
-        words = self._frames[address]
+        words = list(self._frames[address])
         if not 0 <= bit_index < 32:
             raise ValueError(f"bit index {bit_index} outside 0..31")
         words[word_index] ^= 1 << bit_index
+        self._frames[address] = tuple(words)
         return InjectedFault(address, word_index, bit_index)
 
     def corrupted_frames(self, golden: Bitstream) -> List[int]:
@@ -123,6 +136,6 @@ class ConfigurationMemory:
         (only frames the golden image covers are compared)."""
         bad = []
         for frame in golden.frames:
-            if frame.address in self._frames and tuple(self._frames[frame.address]) != frame.words:
+            if frame.address in self._frames and self._frames[frame.address] != frame.words:
                 bad.append(frame.address)
         return bad

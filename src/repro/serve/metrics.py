@@ -236,7 +236,8 @@ class Metrics:
     """A named registry of counters, gauges and histograms.
 
     All mutation goes through the registry lock so worker threads can
-    share one instance.
+    share one instance.  A counter, gauge or histogram is created the
+    first time its name is used and looked up on every later call.
     """
 
     def __init__(self) -> None:
@@ -247,19 +248,27 @@ class Metrics:
 
     def inc(self, name: str, amount: int = 1) -> None:
         with self._lock:
-            self._counters.setdefault(name, Counter()).inc(amount)
+            self._entry(self._counters, name, Counter).inc(amount)
 
     def add(self, name: str, amount: float) -> None:
         with self._lock:
-            self._gauges.setdefault(name, Gauge()).add(amount)
+            self._entry(self._gauges, name, Gauge).add(amount)
 
     def set(self, name: str, value: float) -> None:
         with self._lock:
-            self._gauges.setdefault(name, Gauge()).set(value)
+            self._entry(self._gauges, name, Gauge).set(value)
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
-            self._histograms.setdefault(name, Histogram()).observe(value)
+            self._entry(self._histograms, name, Histogram).observe(value)
+
+    @staticmethod
+    def _entry(table: dict, name: str, factory):
+        """The table's object for ``name``, built on its first use only."""
+        entry = table.get(name)
+        if entry is None:
+            entry = table[name] = factory()
+        return entry
 
     def counter(self, name: str) -> int:
         """Current value of a counter (0 if never incremented)."""

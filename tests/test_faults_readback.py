@@ -16,8 +16,10 @@ from repro.fabric.bitstream import BitstreamGenerator
 from repro.fabric.device import get_device
 from repro.fabric.faults import ConfigurationMemory
 from repro.fabric.grid import Grid
+from repro.reconfig.controller import ReconfigController
 from repro.reconfig.ports import Icap, Jcap
 from repro.reconfig.readback import ReadbackScrubber, frame_crc
+from repro.reconfig.slots import plan_floorplan
 
 
 @pytest.fixture
@@ -73,6 +75,69 @@ class TestFaultInjection:
     def test_readback_unconfigured_frame(self):
         with pytest.raises(KeyError):
             ConfigurationMemory().frame(0x1234)
+
+
+class TestZeroCopyLoads:
+    """A load shares the stored image's frames; an upset copies only the
+    frame it flips, so the stored golden never changes."""
+
+    @pytest.fixture
+    def loaded(self):
+        dev = get_device("XC3S400")
+        memory = ConfigurationMemory()
+        controller = ReconfigController(
+            plan_floorplan(dev, 800, [2400]), Icap(), config_memory=memory
+        )
+        controller.prepare_module("amp_phase", 0)
+        controller.load("amp_phase", 0)
+        return memory, controller
+
+    def test_load_stores_the_stored_frames_by_reference(self, loaded):
+        memory, controller = loaded
+        golden = controller.golden_bitstream(0)
+        assert memory.frame_count == golden.frame_count
+        for frame in golden.frames:
+            assert memory.frame(frame.address) is frame.words
+
+    def test_upset_copies_only_its_frame_and_spares_the_store(self, loaded):
+        memory, controller = loaded
+        store, key = controller.store, "amp_phase@slot0"
+        raw_before = store.fetch(key)
+        golden = store.bitstream(key)
+        golden_bytes = golden.to_bytes()
+        addr = golden.frames[7].address
+        before = memory.frame(addr)
+
+        memory.inject_at(addr, 4, 13)
+
+        after = memory.frame(addr)
+        assert after is not before
+        assert [i for i in range(len(after)) if after[i] != before[i]] == [4]
+        assert after[4] ^ before[4] == 1 << 13
+        for frame in golden.frames:
+            if frame.address != addr:
+                assert memory.frame(frame.address) is frame.words
+        assert store.fetch(key) == raw_before
+        assert store.bitstream(key).to_bytes() == golden_bytes
+        assert golden.frames[7].words is before
+
+        assert memory.corrupted_frames(golden) == [addr]
+        memory.load(golden)
+        assert memory.corrupted_frames(golden) == []
+        assert memory.frame(addr) is golden.frames[7].words
+
+    def test_seeded_upsets_replay_the_same_bits(self, loaded):
+        memory, controller = loaded
+        golden = controller.golden_bitstream(0)
+        faults = memory.inject_burst(5, random.Random(11))
+        # Pinned draws: frame (sorted choice), then word, then bit.
+        assert [(f.frame_address, f.word_index, f.bit_index) for f in faults] == [
+            (4867, 71, 29), (4867, 65, 12), (2834, 65, 30), (5906, 78, 11), (2314, 57, 19),
+        ]
+        replay = ConfigurationMemory()
+        replay.load(golden)
+        assert replay.inject_burst(5, random.Random(11)) == faults
+        assert replay.readback() == memory.readback()
 
 
 class TestScrubber:
