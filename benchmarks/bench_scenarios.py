@@ -82,9 +82,7 @@ def run_drift() -> dict:
     scenario = generate_drift_scenario(DRIFT_SEED, max_requests=48)
     control = dataclasses.replace(
         scenario,
-        entries=tuple(
-            (t, lv, k) for t, lv, k in scenario.entries if k == KIND_MEASURE
-        ),
+        entries=tuple(e for e in scenario.entries if e.kind == KIND_MEASURE),
     )
     rows = {}
     for label, scn, corrector in (

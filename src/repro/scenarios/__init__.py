@@ -20,23 +20,35 @@ golden trace, CI bench):
   (alarm readings overtake routine polls, never shed first) with
   per-class latency histograms.
 
+Every family builds on the one scenario model,
+:class:`repro.verifylab.scenarios.Scenario`, re-exported here with its
+:class:`~repro.verifylab.scenarios.Entry`.  A priority scenario is a plain
+``Scenario`` (each entry carries its tier); :class:`DriftScenario` and
+:class:`ThermalScenario` are thin subclasses that add the drift rates
+and calibration settings, or the thermal network and derating policy.
+
 ``repro verifylab oracle --family drift|thermal|priority`` gates all
 three differentially (:data:`repro.verifylab.oracle.FAMILIES` holds
 their references and coverage gates).
 """
+
+# The model is imported first: loading repro.verifylab imports its oracle,
+# which imports the family modules below, and those subclass the model.
+from repro.verifylab.scenarios import Entry, Scenario
 
 from repro.scenarios.drift import (
     DriftCorrector,
     DriftScenario,
     generate_drift_scenario,
 )
-from repro.scenarios.priority import PriorityScenario, generate_priority_scenario
+from repro.scenarios.priority import generate_priority_scenario
 from repro.scenarios.thermal import ThermalScenario, generate_thermal_scenario
 
 __all__ = [
     "DriftCorrector",
     "DriftScenario",
-    "PriorityScenario",
+    "Entry",
+    "Scenario",
     "ThermalScenario",
     "generate_drift_scenario",
     "generate_priority_scenario",

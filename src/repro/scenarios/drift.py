@@ -41,30 +41,16 @@ from typing import Dict, List, Tuple
 
 from repro.app.calibration import CalibrationPoint, CalibrationTable, calibrate
 from repro.app.frontend import AnalogFrontEnd
-from repro.app.tank import MeasurementCircuit, TankModel
-from repro.serve.batching import STANDARD_PIPELINE
-from repro.serve.requests import (
-    KIND_CALIBRATE,
-    KIND_MEASURE,
-    STATUS_OK,
-    MeasurementRequest,
-    MeasurementResponse,
-)
+from repro.serve.requests import KIND_CALIBRATE, STATUS_OK, MeasurementResponse
+from repro.verifylab.scenarios import Entry, Scenario, random_circuit
 
 
 @dataclass(frozen=True)
-class DriftScenario:
+class DriftScenario(Scenario):
     """One seed-determined calibration-drift workload."""
 
-    seed: int
-    #: (tank_id, true fill level, kind) per request, in submission order.
-    #: The request index is the simulated timestamp.
-    entries: Tuple[Tuple[str, float, str], ...]
     #: Per-tank relative gain drift per time step.
-    drift_rates: Tuple[Tuple[str, float], ...]
-    max_batch: int = 4
-    noise_rms: float = 0.002
-    circuit: MeasurementCircuit = MeasurementCircuit()
+    drift_rates: Tuple[Tuple[str, float], ...] = ()
     #: Calibration procedure parameters (kept small: a recalibration is
     #: ``len(levels) * repeats`` extra measurement cycles).
     calib_levels: Tuple[float, ...] = (0.1, 0.5, 0.9)
@@ -72,100 +58,29 @@ class DriftScenario:
     calib_repeats: int = 1
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("drift scenario needs at least one request")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        super().__post_init__()
         rates = dict(self.drift_rates)
-        for tank_id, _level, kind in self.entries:
-            if kind not in (KIND_MEASURE, KIND_CALIBRATE):
-                raise ValueError(f"unknown entry kind {kind!r}")
+        for tank_id in self.tank_ids:
             if tank_id not in rates:
                 raise ValueError(f"tank {tank_id!r} has no drift rate")
 
-    @property
-    def n_requests(self) -> int:
-        return len(self.entries)
-
-    @property
-    def tank_ids(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for tank_id, _level, _kind in self.entries:
-            seen.setdefault(tank_id)
-        return tuple(seen)
-
-    def requests(self) -> List[MeasurementRequest]:
-        """Fresh request objects, ids sequential in submission order."""
-        return [
-            MeasurementRequest(
-                request_id=i,
-                tank_id=tank_id,
-                level=level,
-                pipeline=STANDARD_PIPELINE,
-                kind=kind,
-            )
-            for i, (tank_id, level, kind) in enumerate(self.entries)
-        ]
-
-    def calibrate_ids(self) -> List[int]:
-        return [
-            i
-            for i, (_t, _l, kind) in enumerate(self.entries)
-            if kind == KIND_CALIBRATE
-        ]
-
     def to_dict(self) -> dict:
         return {
-            "family": "drift",
-            "seed": self.seed,
-            "n_requests": self.n_requests,
-            "n_tanks": len(self.tank_ids),
-            "n_calibrations": len(self.calibrate_ids()),
-            "max_batch": self.max_batch,
-            "noise_rms": self.noise_rms,
-            "drift_rates": {tank: rate for tank, rate in self.drift_rates},
-            "circuit": {
-                "c_empty_pf": self.circuit.tank.c_empty_pf,
-                "c_full_pf": self.circuit.tank.c_full_pf,
-                "r_loss_ohm": self.circuit.tank.r_loss_ohm,
-                "r_series_ohm": self.circuit.r_series_ohm,
-                "c_ref_pf": self.circuit.c_ref_pf,
+            **super().to_dict(),
+            "drift_rates": dict(self.drift_rates),
+            "calibration": {
+                "levels": list(self.calib_levels),
+                "frame_samples": self.calib_frame_samples,
+                "repeats": self.calib_repeats,
             },
-            "entries": [
-                {"tank_id": tank_id, "level": level, "kind": kind}
-                for tank_id, level, kind in self.entries
-            ],
         }
 
-    def shrink_candidates(self) -> List["DriftScenario"]:
-        """Strictly-simpler variants for the greedy shrinker."""
-        candidates: List[DriftScenario] = []
-        n = self.n_requests
-        if n > 1:
-            half = n // 2
-            candidates.append(dataclasses.replace(self, entries=self.entries[:half]))
-            candidates.append(dataclasses.replace(self, entries=self.entries[half:]))
-            for i in range(n):
-                kept = self.entries[:i] + self.entries[i + 1 :]
-                candidates.append(dataclasses.replace(self, entries=kept))
-        if len(self.tank_ids) > 1:
-            first = self.entries[0][0]
-            candidates.append(
-                dataclasses.replace(
-                    self,
-                    entries=tuple((first, lv, kind) for _t, lv, kind in self.entries),
-                )
-            )
+    def shrink_candidates(self) -> List[Scenario]:
+        """The shared moves, then: stop every tank drifting."""
+        candidates = super().shrink_candidates()
         if any(rate != 0.0 for _t, rate in self.drift_rates):
-            candidates.append(
-                dataclasses.replace(
-                    self, drift_rates=tuple((t, 0.0) for t, _r in self.drift_rates)
-                )
-            )
-        if self.max_batch > 1:
-            candidates.append(dataclasses.replace(self, max_batch=1))
-        if self.noise_rms > 0:
-            candidates.append(dataclasses.replace(self, noise_rms=0.0))
+            still = tuple((tank, 0.0) for tank, _r in self.drift_rates)
+            candidates.append(dataclasses.replace(self, drift_rates=still))
         return candidates
 
 
@@ -192,8 +107,7 @@ class DriftCorrector:
         self.scenario = scenario
         self.rates = dict(scenario.drift_rates)
         self._schedule = {
-            i: (tank_id, kind)
-            for i, (tank_id, _level, kind) in enumerate(scenario.entries)
+            i: (entry.tank_id, entry.kind) for i, entry in enumerate(scenario.entries)
         }
         self._lock = threading.Lock()
         self.recalibrations = 0
@@ -265,18 +179,10 @@ class DriftCorrector:
             }
 
 
-def generate_drift_scenario(
-    seed: int,
-    max_requests: int = 36,
-    recalibrate: bool = True,
-) -> DriftScenario:
+def generate_drift_scenario(seed: int, max_requests: int = 36) -> DriftScenario:
     """Derive a drift scenario entirely from one seed: tank geometry,
     per-tank drift rates, fill trajectories, and a recalibration cadence
     interleaving ``calibrate`` requests with the measurement stream.
-
-    ``recalibrate=False`` drops the calibrate entries (same drift, same
-    measurement schedule) — the control arm the benchmark compares
-    against to price recalibration's accuracy payoff.
 
     Raises
     ------
@@ -289,17 +195,7 @@ def generate_drift_scenario(
     n_tanks = rng.randint(2, 4)
     n_requests = rng.randint(max(n_tanks, (2 * max_requests) // 3), max_requests)
     recal_every = rng.randint(4, 7)
-
-    c_empty = rng.uniform(40.0, 90.0)
-    circuit = MeasurementCircuit(
-        tank=TankModel(
-            c_empty_pf=c_empty,
-            c_full_pf=c_empty + rng.uniform(200.0, 520.0),
-            r_loss_ohm=rng.uniform(8.0e5, 4.0e6),
-        ),
-        r_series_ohm=rng.uniform(3000.0, 6800.0),
-        c_ref_pf=rng.uniform(150.0, 330.0),
-    )
+    circuit = random_circuit(rng)
 
     tanks = [f"tank-{t:03d}" for t in range(n_tanks)]
     drift_rates = tuple(
@@ -309,21 +205,21 @@ def generate_drift_scenario(
         for tank in tanks
     )
     fill = {tank: rng.uniform(0.15, 0.85) for tank in tanks}
-    entries: List[Tuple[str, float, str]] = []
+    entries = []
     since_recal = {tank: 0 for tank in tanks}
     for _ in range(n_requests):
         tank = tanks[rng.randrange(n_tanks)]
-        if recalibrate and since_recal[tank] >= recal_every:
-            entries.append((tank, 0.5, KIND_CALIBRATE))
+        if since_recal[tank] >= recal_every:
+            entries.append(Entry(tank, 0.5, kind=KIND_CALIBRATE))
             since_recal[tank] = 0
             continue
         fill[tank] = min(0.95, max(0.05, fill[tank] + rng.uniform(-0.1, 0.1)))
-        entries.append((tank, fill[tank], KIND_MEASURE))
+        entries.append(Entry(tank, fill[tank]))
         since_recal[tank] += 1
-    if recalibrate and not any(kind == KIND_CALIBRATE for _t, _l, kind in entries):
+    if not any(entry.kind == KIND_CALIBRATE for entry in entries):
         # Small fleets can dodge the cadence; the family's coverage gate
         # (>= 1 recalibration served) needs at least one per scenario.
-        entries.append((tanks[0], 0.5, KIND_CALIBRATE))
+        entries.append(Entry(tanks[0], 0.5, kind=KIND_CALIBRATE))
 
     return DriftScenario(
         seed=seed,

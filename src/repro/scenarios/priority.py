@@ -17,124 +17,22 @@ own submit order), so every response must match the single-system replay
 bit for bit — plus a coverage gate that at least one alarm actually
 overtook an earlier-submitted routine request, else the scenario proved
 nothing about tiering.
+
+The family needs no scenario class of its own: each
+:class:`~repro.verifylab.scenarios.Entry` carries its priority tier, so
+:func:`generate_priority_scenario` returns a plain
+:class:`~repro.verifylab.scenarios.Scenario`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
 
-from repro.app.tank import MeasurementCircuit, TankModel
-from repro.serve.batching import STANDARD_PIPELINE
-from repro.serve.requests import PRIORITY_ALARM, PRIORITY_ROUTINE, MeasurementRequest
+from repro.serve.requests import PRIORITY_ALARM, PRIORITY_ROUTINE
+from repro.verifylab.scenarios import Entry, Scenario, random_circuit
 
 
-@dataclass(frozen=True)
-class PriorityScenario:
-    """One seed-determined mixed-tier workload."""
-
-    seed: int
-    #: (tank_id, true fill level, priority) per request, in submission order.
-    entries: Tuple[Tuple[str, float, int], ...]
-    max_batch: int = 4
-    noise_rms: float = 0.002
-    circuit: MeasurementCircuit = MeasurementCircuit()
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("priority scenario needs at least one request")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.entries)
-
-    @property
-    def tank_ids(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for tank_id, _level, _priority in self.entries:
-            seen.setdefault(tank_id)
-        return tuple(seen)
-
-    def alarm_ids(self) -> List[int]:
-        return [
-            i
-            for i, (_t, _l, priority) in enumerate(self.entries)
-            if priority >= PRIORITY_ALARM
-        ]
-
-    def requests(self) -> List[MeasurementRequest]:
-        return [
-            MeasurementRequest(
-                request_id=i,
-                tank_id=tank_id,
-                level=level,
-                pipeline=STANDARD_PIPELINE,
-                priority=priority,
-            )
-            for i, (tank_id, level, priority) in enumerate(self.entries)
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "priority",
-            "seed": self.seed,
-            "n_requests": self.n_requests,
-            "n_tanks": len(self.tank_ids),
-            "n_alarms": len(self.alarm_ids()),
-            "max_batch": self.max_batch,
-            "noise_rms": self.noise_rms,
-            "circuit": {
-                "c_empty_pf": self.circuit.tank.c_empty_pf,
-                "c_full_pf": self.circuit.tank.c_full_pf,
-                "r_loss_ohm": self.circuit.tank.r_loss_ohm,
-                "r_series_ohm": self.circuit.r_series_ohm,
-                "c_ref_pf": self.circuit.c_ref_pf,
-            },
-            "entries": [
-                {"tank_id": tank_id, "level": level, "priority": priority}
-                for tank_id, level, priority in self.entries
-            ],
-        }
-
-    def shrink_candidates(self) -> List["PriorityScenario"]:
-        candidates: List[PriorityScenario] = []
-        n = self.n_requests
-        if n > 1:
-            half = n // 2
-            candidates.append(dataclasses.replace(self, entries=self.entries[:half]))
-            candidates.append(dataclasses.replace(self, entries=self.entries[half:]))
-            for i in range(n):
-                kept = self.entries[:i] + self.entries[i + 1 :]
-                candidates.append(dataclasses.replace(self, entries=kept))
-        if len(self.tank_ids) > 1:
-            first = self.entries[0][0]
-            candidates.append(
-                dataclasses.replace(
-                    self,
-                    entries=tuple((first, lv, pr) for _t, lv, pr in self.entries),
-                )
-            )
-        if self.alarm_ids():
-            candidates.append(
-                dataclasses.replace(
-                    self,
-                    entries=tuple(
-                        (t, lv, PRIORITY_ROUTINE) for t, lv, _pr in self.entries
-                    ),
-                )
-            )
-        if self.max_batch > 1:
-            candidates.append(dataclasses.replace(self, max_batch=1))
-        if self.noise_rms > 0:
-            candidates.append(dataclasses.replace(self, noise_rms=0.0))
-        return candidates
-
-
-def generate_priority_scenario(seed: int, max_requests: int = 28) -> PriorityScenario:
+def generate_priority_scenario(seed: int, max_requests: int = 28) -> Scenario:
     """Derive a mixed-tier scenario entirely from one seed.
 
     Roughly a quarter of the requests are alarms, never the very first
@@ -155,44 +53,28 @@ def generate_priority_scenario(seed: int, max_requests: int = 28) -> PrioritySce
     n_requests = rng.randint(
         max(n_tanks, (2 * max_requests) // 3), max_requests
     )
-
-    c_empty = rng.uniform(40.0, 90.0)
-    circuit = MeasurementCircuit(
-        tank=TankModel(
-            c_empty_pf=c_empty,
-            c_full_pf=c_empty + rng.uniform(200.0, 520.0),
-            r_loss_ohm=rng.uniform(8.0e5, 4.0e6),
-        ),
-        r_series_ohm=rng.uniform(3000.0, 6800.0),
-        c_ref_pf=rng.uniform(150.0, 330.0),
-    )
+    circuit = random_circuit(rng)
     tanks = [f"tank-{t:03d}" for t in range(n_tanks)]
     fill = {tank: rng.uniform(0.1, 0.9) for tank in tanks}
-    entries: List[Tuple[str, float, int]] = []
+    entries = []
     for i in range(n_requests):
         tank = tanks[rng.randrange(n_tanks)]
         fill[tank] = min(0.95, max(0.05, fill[tank] + rng.uniform(-0.1, 0.1)))
-        priority = (
-            PRIORITY_ALARM if i > 0 and rng.random() < 0.25 else PRIORITY_ROUTINE
-        )
-        entries.append((tank, fill[tank], priority))
-    if not any(pr >= PRIORITY_ALARM for _t, _l, pr in entries[1:]):
-        tank, level, _pr = entries[-1]
-        entries[-1] = (tank, level, PRIORITY_ALARM)
+        alarm = i > 0 and rng.random() < 0.25
+        priority = PRIORITY_ALARM if alarm else PRIORITY_ROUTINE
+        entries.append(Entry(tank, fill[tank], priority))
+    if not any(e.priority >= PRIORITY_ALARM for e in entries[1:]):
+        entries[-1] = entries[-1]._replace(priority=PRIORITY_ALARM)
     # Guarantee an overtake is possible: the last alarm must follow a
     # routine request of a different tank (per-tank FIFO would otherwise
     # pin every alarm behind its own tank's backlog).
-    alarm_at = max(
-        i for i, (_t, _l, pr) in enumerate(entries) if pr >= PRIORITY_ALARM
-    )
-    alarm_tank = entries[alarm_at][0]
-    if not any(
-        t != alarm_tank for t, _l, _pr in entries[:alarm_at]
-    ):
-        other = next(t for t in tanks if t != alarm_tank) if n_tanks > 1 else alarm_tank
-        entries[0] = (other, entries[0][1], PRIORITY_ROUTINE)
+    alarm_at = max(i for i, e in enumerate(entries) if e.priority >= PRIORITY_ALARM)
+    alarm_tank = entries[alarm_at].tank_id
+    if not any(e.tank_id != alarm_tank for e in entries[:alarm_at]):
+        other = next(t for t in tanks if t != alarm_tank)
+        entries[0] = Entry(other, entries[0].level)
 
-    return PriorityScenario(
+    return Scenario(
         seed=seed,
         entries=tuple(entries),
         max_batch=rng.randint(2, 4),

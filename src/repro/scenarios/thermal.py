@@ -22,133 +22,34 @@ this family exists to catch.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import asdict, dataclass
 
-from repro.app.tank import MeasurementCircuit, TankModel
-from repro.serve.batching import STANDARD_PIPELINE
-from repro.serve.requests import MeasurementRequest
 from repro.serve.thermal import DeratingPolicy, ThermalGovernor, ThermalParams
+from repro.verifylab.scenarios import Scenario, random_circuit, random_walk
 
 
 @dataclass(frozen=True)
-class ThermalScenario:
+class ThermalScenario(Scenario):
     """One seed-determined sustained-load thermal workload."""
 
-    seed: int
-    #: (tank_id, true fill level) per request, in submission order.
-    tank_levels: Tuple[Tuple[str, float], ...]
-    max_batch: int = 8
-    noise_rms: float = 0.002
-    circuit: MeasurementCircuit = MeasurementCircuit()
-    #: Thermal network (see :class:`repro.serve.thermal.ThermalParams`).
-    ambient_c: float = 50.0
-    r_theta_c_per_w: float = 200.0
-    tau_s: float = 0.02
+    #: Thermal network of each worker's device.
+    thermal: ThermalParams = ThermalParams(
+        ambient_c=50.0, r_theta_c_per_w=200.0, tau_s=0.02
+    )
     #: Derating knees.
-    derate_at_c: float = 60.0
-    max_at_c: float = 85.0
-    min_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not self.tank_levels:
-            raise ValueError("thermal scenario needs at least one request")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.tank_levels)
-
-    @property
-    def tank_ids(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for tank_id, _level in self.tank_levels:
-            seen.setdefault(tank_id)
-        return tuple(seen)
-
-    def requests(self) -> List[MeasurementRequest]:
-        return [
-            MeasurementRequest(
-                request_id=i,
-                tank_id=tank_id,
-                level=level,
-                pipeline=STANDARD_PIPELINE,
-            )
-            for i, (tank_id, level) in enumerate(self.tank_levels)
-        ]
+    derating: DeratingPolicy = DeratingPolicy()
 
     def governor(self) -> ThermalGovernor:
         """A fresh governor configured for this scenario."""
-        return ThermalGovernor(
-            params=ThermalParams(
-                ambient_c=self.ambient_c,
-                r_theta_c_per_w=self.r_theta_c_per_w,
-                tau_s=self.tau_s,
-            ),
-            derating=DeratingPolicy(
-                derate_at_c=self.derate_at_c,
-                max_at_c=self.max_at_c,
-                min_fraction=self.min_fraction,
-            ),
-        )
+        return ThermalGovernor(params=self.thermal, derating=self.derating)
 
     def to_dict(self) -> dict:
         return {
-            "family": "thermal",
-            "seed": self.seed,
-            "n_requests": self.n_requests,
-            "n_tanks": len(self.tank_ids),
-            "max_batch": self.max_batch,
-            "noise_rms": self.noise_rms,
-            "ambient_c": self.ambient_c,
-            "r_theta_c_per_w": self.r_theta_c_per_w,
-            "tau_s": self.tau_s,
-            "derate_at_c": self.derate_at_c,
-            "max_at_c": self.max_at_c,
-            "min_fraction": self.min_fraction,
-            "circuit": {
-                "c_empty_pf": self.circuit.tank.c_empty_pf,
-                "c_full_pf": self.circuit.tank.c_full_pf,
-                "r_loss_ohm": self.circuit.tank.r_loss_ohm,
-                "r_series_ohm": self.circuit.r_series_ohm,
-                "c_ref_pf": self.circuit.c_ref_pf,
-            },
-            "tank_levels": [
-                {"tank_id": tank_id, "level": level}
-                for tank_id, level in self.tank_levels
-            ],
+            **super().to_dict(),
+            "thermal": asdict(self.thermal),
+            "derating": asdict(self.derating),
         }
-
-    def shrink_candidates(self) -> List["ThermalScenario"]:
-        candidates: List[ThermalScenario] = []
-        n = self.n_requests
-        if n > 1:
-            half = n // 2
-            candidates.append(
-                dataclasses.replace(self, tank_levels=self.tank_levels[:half])
-            )
-            candidates.append(
-                dataclasses.replace(self, tank_levels=self.tank_levels[half:])
-            )
-            for i in range(n):
-                kept = self.tank_levels[:i] + self.tank_levels[i + 1 :]
-                candidates.append(dataclasses.replace(self, tank_levels=kept))
-        if len(self.tank_ids) > 1:
-            first = self.tank_levels[0][0]
-            candidates.append(
-                dataclasses.replace(
-                    self,
-                    tank_levels=tuple((first, lv) for _t, lv in self.tank_levels),
-                )
-            )
-        if self.max_batch > 1:
-            candidates.append(dataclasses.replace(self, max_batch=1))
-        if self.noise_rms > 0:
-            candidates.append(dataclasses.replace(self, noise_rms=0.0))
-        return candidates
 
 
 def generate_thermal_scenario(seed: int, max_requests: int = 32) -> ThermalScenario:
@@ -169,31 +70,16 @@ def generate_thermal_scenario(seed: int, max_requests: int = 32) -> ThermalScena
     rng = random.Random(seed)
     n_tanks = rng.randint(1, 3)
     n_requests = rng.randint(max(n_tanks, (3 * max_requests) // 4), max_requests)
-
-    c_empty = rng.uniform(40.0, 90.0)
-    circuit = MeasurementCircuit(
-        tank=TankModel(
-            c_empty_pf=c_empty,
-            c_full_pf=c_empty + rng.uniform(200.0, 520.0),
-            r_loss_ohm=rng.uniform(8.0e5, 4.0e6),
-        ),
-        r_series_ohm=rng.uniform(3000.0, 6800.0),
-        c_ref_pf=rng.uniform(150.0, 330.0),
-    )
-    fill = {t: rng.uniform(0.1, 0.9) for t in range(n_tanks)}
-    tank_levels: List[Tuple[str, float]] = []
-    for _ in range(n_requests):
-        tank = rng.randrange(n_tanks)
-        fill[tank] = min(0.95, max(0.05, fill[tank] + rng.uniform(-0.1, 0.1)))
-        tank_levels.append((f"tank-{tank:03d}", fill[tank]))
-
+    circuit = random_circuit(rng)
     return ThermalScenario(
         seed=seed,
-        tank_levels=tuple(tank_levels),
+        entries=random_walk(rng, n_tanks, n_requests, step=0.1),
         max_batch=rng.randint(4, 8),
         noise_rms=rng.choice([0.0, 0.001, 0.002]),
         circuit=circuit,
-        ambient_c=rng.uniform(45.0, 55.0),
-        r_theta_c_per_w=rng.uniform(150.0, 300.0),
-        tau_s=rng.uniform(0.01, 0.04),
+        thermal=ThermalParams(
+            ambient_c=rng.uniform(45.0, 55.0),
+            r_theta_c_per_w=rng.uniform(150.0, 300.0),
+            tau_s=rng.uniform(0.01, 0.04),
+        ),
     )

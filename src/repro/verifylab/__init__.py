@@ -62,6 +62,7 @@ from repro.verifylab.oracle import (
     run_oracle,
 )
 from repro.verifylab.scenarios import (
+    Entry,
     Scenario,
     generate_fault_scenario,
     generate_scenario,
@@ -72,6 +73,7 @@ __all__ = [
     "CANONICAL_SEEDS",
     "Check",
     "DEFAULT_INTENSITIES",
+    "Entry",
     "FAMILIES",
     "FaultIntensity",
     "FuzzFailure",

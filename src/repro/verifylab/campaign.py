@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 
 from repro.serve.batching import FaultInjector
 from repro.verifylab.oracle import ReferenceExecutor, integrity, serve_local
-from repro.verifylab.scenarios import Scenario
+from repro.verifylab.scenarios import Entry, Scenario
 
 #: The swept fault-intensity axis: first-attempt strike probability, SEU
 #: burst size per strike, and the probability a retry is struck again.
@@ -66,12 +66,12 @@ def campaign_scenario(
     if n_requests < 1:
         raise ValueError(f"need at least one request, got {n_requests}")
     rng = random.Random(seed)
-    tank_levels = tuple(
-        (f"tank-{i:03d}", rng.uniform(0.05, 0.95)) for i in range(n_requests)
+    entries = tuple(
+        Entry(f"tank-{i:03d}", rng.uniform(0.05, 0.95)) for i in range(n_requests)
     )
     return Scenario(
         seed=seed,
-        tank_levels=tank_levels,
+        entries=entries,
         max_batch=max_batch,
         noise_rms=0.0,
         max_attempts=max_attempts,

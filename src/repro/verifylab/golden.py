@@ -9,8 +9,9 @@ under ``tests/golden/``; for the drift family the frozen values are the
 *corrected* levels, so a silent change to the correction law (not just to
 the measurement pipeline) trips the diff too.  A regression test and the
 ``repro verifylab golden`` CLI compare fresh runs against the committed
-snapshots field by field, with an ``--update`` mode to re-freeze after an
-*intentional* numeric change.
+snapshots field by field, and each snapshot's ``scenario`` header against
+the scenario's fresh ``to_dict()`` (so a header cannot go stale), with an
+``--update`` mode to re-freeze after an *intentional* change.
 
 Traces record only scheduling-independent fields (status, attempts,
 level, capacitance) — batch composition and tier-reordered delivery order
@@ -134,7 +135,9 @@ def check_golden(
     """Re-run the canonical seeds and diff against the committed traces.
 
     Returns a (possibly empty) list of human-readable drift descriptions —
-    missing files, shape changes, field mismatches beyond tolerance.
+    missing files, a stale ``scenario`` header (one line naming the keys
+    that differ from a fresh ``scenario.to_dict()``), shape changes,
+    field mismatches beyond tolerance.
     """
     directory = Path(directory) if directory is not None else default_golden_dir()
     drift: List[str] = []
@@ -150,6 +153,21 @@ def check_golden(
             with open(path, "r", encoding="utf-8") as handle:
                 committed = json.load(handle)
             fresh = build_trace(family, seed)
+            # Round-trip through JSON so tuples compare as the lists the
+            # committed file holds.
+            header = json.loads(json.dumps(fresh["scenario"]))
+            committed_header = committed.get("scenario", {})
+            stale = sorted(
+                key
+                for key in set(header) | set(committed_header)
+                if committed_header.get(key) != header.get(key)
+            )
+            if stale:
+                drift.append(
+                    f"{family} seed {seed} scenario header: {', '.join(stale)} "
+                    f"differ from the scenario's to_dict() "
+                    f"(refresh with `repro verifylab golden --update`)"
+                )
             expected: Dict[int, dict] = {
                 r["request_id"]: r for r in committed.get("responses", [])
             }

@@ -529,11 +529,11 @@ def _thermal_coverage(checks: Sequence[Check]) -> List[str]:
             "derate_events": snap["derate_events"],
             "final_max_batch": snap["max_batch"],
         }
-        if snap["hottest_c"] <= scenario.derate_at_c:
+        if snap["hottest_c"] <= scenario.derating.derate_at_c:
             out.append(
                 f"seed {scenario.seed} coverage: junction peaked at "
                 f"{snap['hottest_c']:.1f} C, never crossed the "
-                f"{scenario.derate_at_c:.0f} C derate knee"
+                f"{scenario.derating.derate_at_c:.0f} C derate knee"
             )
         elif snap["derate_events"] < 1:
             out.append(

@@ -30,7 +30,7 @@ from repro.app.system import SystemConfig
 from repro.serve import FleetService, synthetic_load
 from repro.serve.batching import FaultInjector, TankStateStore
 from repro.verifylab import ReferenceExecutor
-from repro.verifylab.scenarios import Scenario
+from repro.verifylab.scenarios import Entry, Scenario
 
 CIRCUIT = MeasurementCircuit()
 TONE = 500_000.0
@@ -444,7 +444,7 @@ def test_batched_fleet_equals_reference_replay():
     module behaviours, to the bit."""
     scenario = Scenario(
         seed=7,
-        tank_levels=tuple((f"t{i % 3}", 0.1 + 0.08 * i) for i in range(10)),
+        entries=tuple(Entry(f"t{i % 3}", 0.1 + 0.08 * i) for i in range(10)),
     )
     service, reference = serve_and_replay(scenario)
     assert all(r.ok for r in service.responses())
@@ -457,7 +457,7 @@ def test_per_request_mode_runs_the_vector_engine_bit_exactly():
     responses identical to the reference replay."""
     scenario = Scenario(
         seed=7,
-        tank_levels=tuple((f"t{i % 2}", 0.2 + 0.1 * i) for i in range(6)),
+        entries=tuple(Entry(f"t{i % 2}", 0.2 + 0.1 * i) for i in range(6)),
         max_batch=1,
     )
     service, reference = serve_and_replay(scenario)
@@ -500,7 +500,7 @@ def test_counter_mode_sweeps_match_the_reference():
     fault schedule, and never touch the broker's requeue path."""
     scenario = Scenario(
         seed=9,
-        tank_levels=tuple((f"t{i:02d}", 0.05 + 0.07 * i) for i in range(12)),
+        entries=tuple(Entry(f"t{i:02d}", 0.05 + 0.07 * i) for i in range(12)),
         max_batch=6,
     )
     service, reference = serve_and_replay(

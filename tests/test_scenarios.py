@@ -24,6 +24,7 @@ from repro.app.failsafe import (
 from repro.scenarios import (
     DriftCorrector,
     DriftScenario,
+    Entry,
     generate_drift_scenario,
     generate_priority_scenario,
     generate_thermal_scenario,
@@ -301,13 +302,14 @@ def _handcrafted_drift(recalibrate: bool) -> DriftScenario:
     entries = []
     for t in range(21):
         if t == 10 and recalibrate:
-            entries.append((tank, 0.5, KIND_CALIBRATE))
+            entries.append(Entry(tank, 0.5, kind=KIND_CALIBRATE))
         else:
-            entries.append((tank, 0.3 + 0.02 * (t % 5), KIND_MEASURE))
+            entries.append(Entry(tank, 0.3 + 0.02 * (t % 5)))
     return DriftScenario(
         seed=5,
         entries=tuple(entries),
         drift_rates=((tank, 0.004),),
+        max_batch=4,
         noise_rms=0.0,
     )
 
@@ -328,8 +330,8 @@ class TestDrift:
 
         def late_error(scenario):
             expected = drift_reference(scenario)
-            truth = {i: lv for i, (_t, lv, k) in enumerate(scenario.entries)
-                     if k == KIND_MEASURE}
+            truth = {i: e.level for i, e in enumerate(scenario.entries)
+                     if e.kind == KIND_MEASURE}
             late = [rid for rid in truth if rid > 10]
             return sum(abs(expected[rid].level - truth[rid]) for rid in late) / len(late)
 
@@ -342,13 +344,13 @@ class TestDrift:
         with pytest.raises(ValueError, match="drift rate"):
             DriftScenario(
                 seed=0,
-                entries=(("tank-000", 0.5, KIND_MEASURE),),
+                entries=(Entry("tank-000", 0.5),),
                 drift_rates=(("other", 0.001),),
             )
         with pytest.raises(ValueError, match="kind"):
             DriftScenario(
                 seed=0,
-                entries=(("tank-000", 0.5, "bogus"),),
+                entries=(Entry("tank-000", 0.5, kind="bogus"),),
                 drift_rates=(("tank-000", 0.001),),
             )
 
@@ -372,7 +374,8 @@ class TestScenarioOracle:
         report = run_oracle([3], family="thermal")
         assert report.ok, report.violations
         coverage = report.checks[0].coverage
-        assert coverage["hottest_c"] > report.checks[0].scenario.derate_at_c
+        knee = report.checks[0].scenario.derating.derate_at_c
+        assert coverage["hottest_c"] > knee
         assert coverage["derate_events"] >= 1
 
     def test_priority_family_exact_with_coverage(self):
@@ -398,8 +401,9 @@ class TestScenarioOracle:
             shrink(scenario, lambda s: False)
 
     def test_shrink_skips_invalid_candidates(self):
-        # drop-one candidates of a 1-entry scenario would be invalid; the
-        # drift family's single-tank variants can also break the rate map.
+        # A 1-entry scenario offers no drop moves (an empty one is
+        # invalid), and the single-tank move keeps the first tank, whose
+        # drift rate the scenario carries: no candidate breaks validation.
         scenario = generate_drift_scenario(5)
         shrunk = shrink(scenario, lambda s: s.n_requests >= 1)
         assert shrunk.n_requests == 1

@@ -409,11 +409,11 @@ def test_max_batch_one_shards_keep_the_vector_engine():
     """Per-request serving is a batch of one on the fleet's kernels: a
     sharded fleet at ``max_batch=1`` answers exactly like the reference
     replay."""
-    from repro.verifylab import Scenario, check_scenario
+    from repro.verifylab import Entry, Scenario, check_scenario
 
     scenario = Scenario(
         seed=3,
-        tank_levels=tuple((f"t{i % 4}", 0.1 + 0.07 * i) for i in range(12)),
+        entries=tuple(Entry(f"t{i % 4}", 0.1 + 0.07 * i) for i in range(12)),
         max_batch=1,
     )
     check = check_scenario(scenario, transport="shard")

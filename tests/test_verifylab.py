@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ class TestScenarios:
 
     def test_to_dict_is_json_ready(self):
         payload = json.dumps(generate_scenario(1).to_dict())
-        assert "tank_levels" in payload and "circuit" in payload
+        assert "entries" in payload and "circuit" in payload
 
     def test_retarget_single_tank(self):
         scenario = generate_scenario(11)
@@ -58,7 +59,33 @@ class TestScenarios:
 
     def test_empty_scenario_rejected(self):
         with pytest.raises(ValueError):
-            dataclasses.replace(generate_scenario(0), tank_levels=())
+            dataclasses.replace(generate_scenario(0), entries=())
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shrink_candidates_are_strictly_simpler(self, family, seed):
+        """Every shrink move builds a valid scenario of the parent's type
+        that is smaller on at least one axis and larger on none."""
+
+        def size(s):
+            return (
+                s.n_requests,
+                len(s.tank_ids),
+                s.max_batch,
+                s.noise_rms,
+                len(s.alarm_ids()),
+                sum(rate != 0.0 for _t, rate in getattr(s, "drift_rates", ())),
+            )
+
+        scenario = FAMILIES[family].generate(seed)
+        parent = size(scenario)
+        candidates = scenario.shrink_candidates()
+        assert candidates
+        for candidate in candidates:
+            assert type(candidate) is type(scenario)
+            child = size(candidate)
+            assert any(c < p for c, p in zip(child, parent)), (parent, child)
+            assert all(c <= p for c, p in zip(child, parent)), (parent, child)
 
 
 # -------------------------------------------------------------------- oracle
@@ -112,7 +139,8 @@ class TestMatrix:
             assert coverage["overtakes"] >= 1
             assert coverage["alarm_latencies_recorded"] == coverage["alarms"]
         else:
-            assert coverage["hottest_c"] > report.checks[0].scenario.derate_at_c
+            knee = report.checks[0].scenario.derating.derate_at_c
+            assert coverage["hottest_c"] > knee
             assert coverage["derate_events"] >= 1
 
     def test_unsupported_cells_raise_with_their_reason(self, capsys):
@@ -144,7 +172,7 @@ class TestFaultOracle:
     def test_fault_scenarios_are_deterministic_one_request_per_tank(self):
         scenario = generate_fault_scenario(4)
         assert scenario == generate_fault_scenario(4)
-        tank_ids = [tank_id for tank_id, _level in scenario.tank_levels]
+        tank_ids = [entry.tank_id for entry in scenario.entries]
         assert len(tank_ids) == len(set(tank_ids))
         assert scenario.max_batch >= 2
 
@@ -197,8 +225,8 @@ class TestFuzz:
 
         # Synthetic failure: any scenario containing a request above the
         # highest-but-one level.  Minimal reproducer = exactly one request.
-        threshold = sorted(level for _t, level in scenario.tank_levels)[-2]
-        fails = lambda s: any(level > threshold for _t, level in s.tank_levels)
+        threshold = sorted(entry.level for entry in scenario.entries)[-2]
+        fails = lambda s: any(entry.level > threshold for entry in s.entries)
 
         assert fails(scenario)
         minimal = shrink(scenario, fails)
@@ -283,6 +311,19 @@ class TestGolden:
         drift = check_golden(tmp_path, seeds={"plain": (5,)})
         assert len(drift) == 1
         assert "level_measured" in drift[0] and "tolerance" in drift[0]
+
+    def test_stale_header_is_reported(self, tmp_path):
+        """A committed ``scenario`` header that no longer matches the
+        scenario's ``to_dict()`` is drift, even when every response
+        still matches."""
+        shutil.copytree(GOLDEN_DIR, tmp_path / "golden")
+        path = tmp_path / "golden" / "verifylab_seed_011.json"
+        trace = json.loads(path.read_text())
+        trace["scenario"]["max_batch"] += 1
+        path.write_text(json.dumps(trace))
+        drift = check_golden(tmp_path / "golden", seeds={"plain": (11,)})
+        assert len(drift) == 1
+        assert "scenario header: max_batch" in drift[0]
 
     def test_missing_trace_reported(self, tmp_path):
         drift = check_golden(tmp_path, seeds={"plain": (5,)})
