@@ -13,8 +13,9 @@ Modules
 -------
 ``native``
     The fused delta-sigma converter chain with its counter-keyed noise
-    generated inline, compiled to C on first use (pure-Python fused
-    fallback when no compiler is present).
+    generated inline, a vector's worth of lanes per step, compiled to C
+    once per host and cached (pure-Python fused fallback when no
+    compiler is present).
 ``cache``
     The kernel-side :class:`~repro.serve.cache.ArtifactCache` holding
     request-invariant arrays (excitation, spectra, Goertzel bases).

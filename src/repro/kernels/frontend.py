@@ -1,7 +1,7 @@
 """Batched analog-front-end sampling, bit-exact with the scalar path.
 
-``AnalogFrontEnd.sample_cycle`` costs ~25 ms per request, almost all of
-it in the delta-sigma converter chains.  This kernel produces the same
+The scalar ``AnalogFrontEnd.sample_cycle`` spends almost all of its time
+in the delta-sigma converter chains.  This kernel produces the same
 :class:`repro.app.frontend.SampledCycle` objects — same bits — for a
 whole batch at a fraction of the cost, by splitting the work into what
 can be shared and what cannot:
@@ -20,10 +20,10 @@ can be shared and what cannot:
 * The converter chain (anti-alias RC, one-bit modulator, decimator) is a
   chaotic per-sample recursion that cannot be shared or approximated; all
   ``2B`` lanes go through :func:`repro.kernels.native.adc_chain_batch`
-  in one call, which reads the cached shaped waveforms in place and
-  generates the noise and the channel gain inline (compiled when a C
-  compiler is present, fused pure Python otherwise — bit-exact either
-  way).
+  in one call, which reads the cached shaped waveforms in place,
+  generates the noise and the channel gain inline, and advances a
+  vector's worth of lanes per step (compiled when a C compiler is
+  present, fused pure Python otherwise — bit-exact either way).
 """
 
 from __future__ import annotations
