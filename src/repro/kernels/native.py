@@ -33,10 +33,14 @@ host's full vector width, or without it if the compiler rejects the flag.
 The first load on a host compiles into a per-user cache,
 ``<tempfile.gettempdir()>/repro-kernels-<uid>/`` (mode 0700), under a
 name hashed from the source, the flags, the compiler's path, mtime and
-size, and the host's name, published with an atomic rename; later processes load that file and
-run no compiler.  A cache directory that another user owns or that group
-or others can write is not used: the build then goes to a private
-temporary directory, as an uncached build.  When no compiler is available
+size, and the CPU's feature flags from ``/proc/cpuinfo``, published with
+an atomic rename; later processes load that file and run no compiler,
+and a cache kept across a move to a CPU with other vector units gets a
+new build rather than one that would die of an illegal instruction.  A
+cache directory that another user owns or that group or others can
+write is not used, and where the CPU's features cannot be read nothing
+is cached: the build then goes to a private temporary directory, as
+an uncached build.  When no compiler is available
 (or ``REPRO_NO_NATIVE_KERNELS`` is set) the loader reports unavailable and
 callers fall back to a fused pure-Python loop (:func:`adc_chain_batch`
 handles the dispatch) fed by the numpy noise generator, which produces
@@ -128,9 +132,10 @@ INLINE vu mix64(vu z) {
     return z ^ (z >> 31);
 }
 
-/* One block of LANES lanes.  noisy and order are constants at every call
- * site, so each inlined copy tests neither per sample and orders 1 and 2
- * keep their filter states in registers. */
+/* One block of LANES lanes.  noisy is a constant at every call site and
+ * order at all but the generic one, so the order-2 copies (the
+ * converter's RC front end) test neither per sample and keep their
+ * filter states in registers. */
 INLINE void
 adc_chain_block(const double* const* x, vd gain, vu h, double noise_scale,
                 const int noisy, long n, double alpha, const int order,
@@ -197,12 +202,10 @@ void ds_adc_chain_batch(const double* const* shaped, const double* gain,
             o[w] = out + (base + w < lanes ? base + w : lanes) * m_per_lane;
         }
         if (noise_scale != 0.0) {
-            if (order == 1) BLOCK(1, 1);
-            else if (order == 2) BLOCK(1, 2);
+            if (order == 2) BLOCK(1, 2);
             else BLOCK(1, order);
         } else {
-            if (order == 1) BLOCK(0, 1);
-            else if (order == 2) BLOCK(0, 2);
+            if (order == 2) BLOCK(0, 2);
             else BLOCK(0, order);
         }
     }
@@ -276,16 +279,34 @@ def _find_compiler() -> str:
     raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
 
 
+def _cpu_features() -> Optional[str]:
+    """The CPU's instruction-set features, which decide what
+    ``-march=native`` emits: the ``flags`` (x86) or ``Features`` (Arm)
+    lines of ``/proc/cpuinfo``, every distinct one, sorted; None where
+    they cannot be read."""
+    lines = set()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as handle:
+            for line in handle:
+                key, sep, value = line.partition(":")
+                if sep and key.strip() in ("flags", "Features"):
+                    lines.add(" ".join(sorted(value.split())))
+    except OSError:
+        return None
+    return "\n".join(sorted(lines)) or None
+
+
 def _library_path(compiler: str, flags: Sequence[str], directory: str) -> str:
     """Where the build of ``_source()`` by ``compiler`` with ``flags``
     lives in ``directory``: named by a hash of everything that shapes the
-    binary, so a changed source, flag set, compiler or host never reuses
-    a stale build."""
+    binary, so a changed source, flag set, compiler or CPU never reuses
+    a stale build (a ``-march=native`` build run on a CPU without its
+    vector unit dies of an illegal instruction)."""
     st = os.stat(compiler)
     digest = hashlib.sha256()
     for part in (
         _source(), "\0".join(flags), compiler, str(st.st_mtime_ns), str(st.st_size),
-        platform.node(), platform.machine(),
+        platform.machine(), _cpu_features() or "",
     ):
         digest.update(part.encode("utf-8") + b"\0")
     return os.path.join(directory, f"ds_chain-{digest.hexdigest()[:32]}.so")
@@ -402,7 +423,9 @@ def _load_from(compiler: str, directory: str) -> ctypes.CDLL:
 
 def _compile_and_load() -> ctypes.CDLL:
     compiler = _find_compiler()
-    cache = _cache_dir()
+    # Without the CPU's features a cached -march=native build cannot be
+    # told apart from one made for another CPU, so nothing is cached.
+    cache = _cache_dir() if _cpu_features() is not None else None
     if cache is not None:
         return _load_from(compiler, cache)
     with tempfile.TemporaryDirectory(prefix="repro-kernels-") as tmp:

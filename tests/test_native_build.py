@@ -57,6 +57,11 @@ BUILDS = [
     for label, flags in (("baseline", BASE_FLAGS), ("native", NATIVE_FLAGS))
 ]
 needs_compiler = pytest.mark.skipif(not compilers(), reason="no C compiler on PATH")
+#: The loader caches builds only where it can read the CPU's features.
+caches = pytest.mark.skipif(
+    not compilers() or native._cpu_features() is None,
+    reason="no C compiler on PATH or no CPU feature list to key a cache by",
+)
 
 
 def lane_inputs(order):
@@ -163,18 +168,49 @@ def private_tmp(tmp_path, monkeypatch):
     return tmp_path
 
 
-@needs_compiler
+def builds(tmp: Path) -> set:
+    return set(cache_dir(tmp, os.getuid()).iterdir())
+
+
+@caches
 def test_changed_source_gets_a_new_build(private_tmp, monkeypatch):
     native._compile_and_load()
-    built = set(cache_dir(private_tmp, os.getuid()).iterdir())
+    built = builds(private_tmp)
     assert len(built) == 1
     native._compile_and_load()  # cached: nothing new
-    assert set(cache_dir(private_tmp, os.getuid()).iterdir()) == built
+    assert builds(private_tmp) == built
     monkeypatch.setattr(native, "_C_SOURCE", native._C_SOURCE + "\n/* changed */\n")
     native._compile_and_load()
-    after = set(cache_dir(private_tmp, os.getuid()).iterdir())
+    after = builds(private_tmp)
     assert len(after) == 2 and built < after
     assert all(p.suffix == ".so" for p in after)
+
+
+@needs_compiler
+def test_changed_cpu_features_get_a_new_build(private_tmp, monkeypatch):
+    """A cache kept across a move to a CPU without AVX-512 is not reused."""
+    monkeypatch.setattr(native, "_cpu_features", lambda: "avx avx2 avx512f sse2")
+    native._compile_and_load()
+    built = builds(private_tmp)
+    assert len(built) == 1
+    monkeypatch.setattr(native, "_cpu_features", lambda: "avx avx2 sse2")
+    native._compile_and_load()
+    after = builds(private_tmp)
+    assert len(after) == 2 and built < after
+
+
+@needs_compiler
+def test_unknown_cpu_features_are_not_cached(private_tmp, monkeypatch):
+    monkeypatch.setattr(native, "_cpu_features", lambda: None)
+    lib = native._compile_and_load()
+    assert lib.ds_lane_width() in (2, 4, 8)
+    assert not cache_dir(private_tmp, os.getuid()).exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/cpuinfo"), reason="no /proc/cpuinfo")
+def test_cpu_features_are_read():
+    features = native._cpu_features()
+    assert features and features.split() == sorted(features.split())
 
 
 def test_cache_dir_is_private(private_tmp):
@@ -239,7 +275,7 @@ def load_env(tmp: Path, path: str = None) -> dict:
     return env
 
 
-@needs_compiler
+@caches
 def test_second_process_runs_no_compiler(tmp_path):
     """A shim ``cc`` first on PATH logs each run: the first process
     compiles through it, the second loads the cached build."""
@@ -266,7 +302,7 @@ def test_second_process_runs_no_compiler(tmp_path):
     assert runs[0] >= 1 and runs[1] == runs[0]
 
 
-@needs_compiler
+@caches
 def test_concurrent_first_loads_all_get_a_valid_library(tmp_path):
     """More first loads than a small host has cores, racing to build and
     publish one cache file."""
